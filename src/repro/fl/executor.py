@@ -84,6 +84,9 @@ updates arrived (survivors aggregate, stragglers are absorbed into the
 next round, crashed pool slots are rebuilt in place), and the engines
 publish each round's casualties in a
 :class:`repro.fl.faults.RoundFaultReport` so the server can record them.
+Who a round dispatches, keeps and drops is decided by one
+:class:`repro.fl.rounds.RoundController` per round; the engines only
+dispatch work and feed it arrivals.
 
 Every hop is byte-counted *post-codec* in :class:`WireStats` — both as the
 bytes each endpoint actually saw (``bytes_down``) and deduplicated across
@@ -112,7 +115,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import multiprocessing
-import numpy as np
 
 from repro.fl.client import Client, ScratchDelta
 from repro.fl.codec import Codec, Payload, make_codec
@@ -123,13 +125,13 @@ from repro.fl.faults import (
     FaultPlan,
     FixedDeadline,
     RoundFaultReport,
-    RoundTimeoutError,
     byzantine_state,
     make_deadline_policy,
     make_fault_plan,
     poison_state,
     state_is_corrupt,
 )
+from repro.fl.rounds import RoundController, TaskRow
 from repro.fl.transport import Transport, make_transport, resolve_transport
 from repro.nn.serialize import StateDict, decode_payload, encode_payload
 
@@ -435,50 +437,36 @@ class Executor:
         if self.deadline_policy is not None and self.deadline_policy.adaptive:
             self._round_durations.append(float(seconds))
 
-    def _replay_membership(
+    def _round_controller(
         self,
         participants: Sequence[Client],
         seeds: Sequence[int],
         round_index: int,
-        report: RoundFaultReport,
-    ) -> "tuple[list[tuple[Client, int]], dict[int, FaultEvent]] | None":
-        """Resolve a pinned replay for this round, if any.
-
-        Returns the dispatch pairs (the recorded accepted clients, in
-        sampling order) and the fault events to re-inject into them —
-        update-level faults only (straggler sleeps, byzantine payloads):
-        membership faults (dropout, crash, deadline, quorum) are already
-        baked into the recorded drop map, which is copied onto ``report``
-        verbatim.  In particular the plan's crash victim is *not*
-        re-picked — it would deterministically select a fresh victim from
-        the narrowed accepted set.
-        """
-        if self._replay is None:
-            return None
-        entry = self._replay.get(round_index)
-        if entry is None:
-            raise ValueError(
-                f"replay is set but has no entry for round {round_index}"
-            )
-        accepted_ids, recorded_dropped = entry
-        report.dropped.update(recorded_dropped)
-        accepted = set(accepted_ids)
-        pairs = [
-            (client, seed)
-            for client, seed in zip(participants, seeds)
-            if client.client_id in accepted
-        ]
-        injected: dict[int, FaultEvent] = {}
-        if self.fault_plan is not None:
-            for client, _ in pairs:
-                event = self.fault_plan.fault_for(client.client_id, round_index)
-                if event is not None and event.kind in (
-                    "straggler", "hang", "corrupt", "byzantine"
-                ):
-                    injected[client.client_id] = event
-                    if event.kind in ("straggler", "hang"):
-                        report.straggler_seconds += event.delay_seconds
-        return pairs, injected
+        stream: "AggregationStream | None",
+        preemptive: bool = True,
+        kills_workers: bool = False,
+    ) -> RoundController:
+        """This round's :class:`repro.fl.rounds.RoundController`, built
+        from the engine's fault plan, resolved deadline, quorum and (when
+        :meth:`set_replay` pinned one) replay entry."""
+        replay = None
+        if self._replay is not None:
+            replay = self._replay.get(round_index)
+            if replay is None:
+                raise ValueError(
+                    f"replay is set but has no entry for round {round_index}"
+                )
+        return RoundController(
+            round_index, participants, seeds,
+            fault_plan=self.fault_plan,
+            deadline=self._current_deadline(),
+            quorum=self.quorum,
+            replay=replay,
+            stream=stream,
+            preemptive=preemptive,
+            kills_workers=kills_workers,
+            observe=self._observe_round_duration,
+        )
 
     def run_round(
         self,
@@ -549,7 +537,9 @@ class SerialExecutor(Executor):
     validation the parallel server runs — so a faulty run's trace matches
     the parallel engines bit-for-bit.  A round ``deadline`` on this engine
     is *cooperative* (no preemption in-process): it only decides which
-    injected stragglers/hangs are dropped up front.
+    injected stragglers/hangs are dropped up front — and, as on every
+    engine, a round those drops leave empty or below its quorum raises
+    :class:`repro.fl.faults.RoundTimeoutError`.
     """
 
     def run_round(
@@ -562,86 +552,41 @@ class SerialExecutor(Executor):
         seeds: Sequence[int],
         stream: "AggregationStream | None" = None,
     ) -> list[ClientUpdate]:
-        round_start = time.perf_counter()
-        round_deadline = self._current_deadline()
-        report = RoundFaultReport(round_index=round_index)
-        replay = self._replay_membership(participants, seeds, round_index, report)
+        round_ = self._round_controller(
+            participants, seeds, round_index, stream, preemptive=False
+        )
         # What a worker would train from: identical to global_state for
         # lossless codecs, the dequantized broadcast for lossy ones.
         wire_state = self.codec.roundtrip(global_state)
-        # Fault triage first, then one backend call over the survivors: the
-        # whole round is a single co-resident group in-process, which the
-        # ensemble backend trains as one (or a few) fused stacks.  Slice
-        # independence keeps each client's numerics identical to the
+        # One singleton row per survivor, then one backend call over all of
+        # them: the whole round is a single co-resident group in-process,
+        # which the ensemble backend trains as one (or a few) fused stacks.
+        # Slice independence keeps each client's numerics identical to the
         # per-client loop, so this grouping is invisible in the trace.
-        survivors: "list[tuple[Client, int, FaultEvent | None]]" = []
-        if replay is not None:
-            # Pinned membership: dispatch exactly the recorded accepted
-            # clients, re-injecting only the update-level faults (sleeps,
-            # byzantine payloads) that shape what they upload.
-            for client, seed in replay[0]:
-                fault = replay[1].get(client.client_id)
-                client.scratch.collect_delta()
-                if fault is not None and fault.kind in ("straggler", "hang"):
-                    time.sleep(fault.delay_seconds)
-                survivors.append((client, seed, fault))
-        else:
-            actions = (
-                self.fault_plan.actions_for_round(
-                    [client.client_id for client in participants],
-                    round_index,
-                    round_deadline,
-                )
-                if self.fault_plan is not None
-                else None
-            )
-            if actions:
-                report.straggler_seconds = actions.straggler_seconds
-                report.dropped.update(actions.skipped)
-            for client, seed in zip(participants, seeds):
-                fault = None
-                if actions is not None:
-                    if client.client_id in actions.skipped:
-                        continue
-                    fault = actions.injected.get(client.client_id)
-                if fault is not None and fault.kind == "crash":
-                    # The parallel victim dies on task receipt, after the
-                    # server's dispatch-time scratch sync; mirror that sync
-                    # point so dirty-tracking stays engine-invariant.
-                    client.scratch.collect_delta()
-                    report.dropped[client.client_id] = "crash"
-                    continue
-                if fault is not None and fault.kind == "hang":
-                    # No preemption in-process: approximate the parallel
-                    # engine's wall-clock timeout with the cooperative rule.
-                    if round_deadline is not None and (
-                        fault.delay_seconds >= round_deadline
-                    ):
-                        report.dropped[client.client_id] = "deadline"
-                        continue
-                # Same sync point the parallel engine has before each task:
-                # any server-side scratch edits are "shipped" to the
-                # training side — a no-op in-process — so the upload delta
-                # carries only what the update itself writes, identically
-                # on every engine.
-                client.scratch.collect_delta()
-                if fault is not None and fault.kind in ("straggler", "hang"):
-                    time.sleep(fault.delay_seconds)
-                survivors.append((client, seed, fault))
+        rows = round_.task_rows()
+        for row in rows:
+            if row.fault is not None and row.fault.kind in ("straggler", "hang"):
+                time.sleep(row.fault.delay_seconds)
         backend = self._compute_backend(model)
         group_updates = backend.run_group(
             strategy,
             model,
             wire_state,
-            [client for client, _, _ in survivors],
+            [row.clients[0] for row in rows],
             round_index,
-            [seed for _, seed, _ in survivors],
+            [row.seeds[0] for row in rows],
         )
         norm_screen = (
             self.fault_plan.norm_screen if self.fault_plan is not None else None
         )
-        updates = []
-        for (client, _, fault), update in zip(survivors, group_updates):
+        # Uploads "arrive" in sampling order, so a quorum deterministically
+        # keeps the first accepted ones — the canonical accepted set a
+        # wall-clock engine replays.
+        for row, update in zip(rows, group_updates):
+            if round_.closed:
+                break
+            round_.arrive(row)
+            fault = row.fault
             if fault is not None:
                 if fault.kind in ("straggler", "hang"):
                     update.straggler_seconds = fault.delay_seconds
@@ -665,76 +610,42 @@ class SerialExecutor(Executor):
                 # Same acceptance check the parallel server runs on every
                 # decoded upload: the weights are distrusted, the scratch
                 # is not (in-process it was already applied in place).
-                report.dropped[client.client_id] = "corrupt"
+                round_.reject(update.client_id)
                 continue
-            updates.append(update)
-        if replay is None and self.quorum is not None and len(updates) > self.quorum:
-            # Serial "arrival order" is sampling order, so the early close
-            # deterministically keeps the first `quorum` accepted uploads —
-            # the canonical accepted set a wall-clock engine replays.
-            report.early_closed = True
-            for update in updates[self.quorum :]:
-                report.dropped[update.client_id] = "quorum"
-            updates = updates[: self.quorum]
-        if stream is not None:
-            # Membership is final past the quorum cut: fold the accepted
-            # uploads into the online accumulator in sampling order and
-            # free each state — the server's aggregation memory is the
-            # accumulator, not the round's update set.
-            for position, update in enumerate(updates):
-                stream.fold(update.state, float(update.num_samples), position)
-                update.state = None
-        self.last_fault_report = report
-        self._observe_round_duration(time.perf_counter() - round_start)
-        return updates
-
-
-class _DroppedTask:
-    """Sentinel standing in for a task future that will never produce an
-    update (the crash victim, or a client given up on after re-execution
-    also lost its worker); collection records the drop and moves on."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
+            round_.accept(row.positions[0], update)
+        self.last_fault_report = round_.report
+        return round_.close()
 
 
 def _ingest_group_upload(
     engine: "Executor",
-    row: "list",
+    row: TaskRow,
     wire: object,
     global_state: StateDict,
-    results: "dict[int, ClientUpdate]",
-    report: RoundFaultReport,
-    stream: "AggregationStream | None" = None,
-) -> int:
-    """Decode one group row's upload into ``results`` (keyed by dispatch
-    position), syncing scratch and running the acceptance checks; returns
-    how many updates were accepted.
+    round_: RoundController,
+) -> None:
+    """Feed one arrived row's upload to ``round_``: decode each update,
+    sync its scratch, and accept it or reject it as corrupt.
 
     Shared verbatim by every wire-crossing engine — the process pool
     (:class:`ParallelExecutor`) and the socket engine
     (:class:`repro.fl.net.executor.RemoteExecutor`) — so upload semantics
-    (codec chains, scratch materialization, corruption screening,
-    streaming folds) are literally one code path.  ``engine`` supplies
+    (codec chains, scratch materialization, corruption screening) are
+    literally one code path.  ``engine`` supplies
     ``wire``/``codec``/``fault_plan``/``_upload_refs`` and, optionally, a
     ``transport`` whose ``recv_upload`` unwraps the wire bytes.
 
-    The decode order is fixed per row, so every collection strategy
-    (index order, arrival order under a quorum, pipelined arrival order)
-    advances the codec reference chains identically for any given set of
-    ingested rows.
+    The decode order is fixed per row and codec chains are per client, so
+    any arrival order of rows advances them identically.
     """
-    clients, _, positions, _ = row
+    round_.arrive(row)
     blob = wire if engine.transport is None else engine.transport.recv_upload(wire)
     engine.wire.upload_bytes += len(blob)
     row_updates: list[ClientUpdate] = decode_payload(blob)
     norm_screen = (
         engine.fault_plan.norm_screen if engine.fault_plan is not None else None
     )
-    accepted = 0
-    for client, position, update in zip(clients, positions, row_updates):
+    for client, position, update in zip(row.clients, row.positions, row_updates):
         # Restore the codec-encoded state before anything
         # downstream (aggregation, benches) touches the update.
         decoded = engine.codec.decode(
@@ -767,20 +678,9 @@ def _ingest_group_upload(
             # serial engine's in-process run mutates it the same
             # way), and leave both reference chains advanced so the
             # next delta still decodes bit-exactly.
-            report.dropped[client.client_id] = "corrupt"
+            round_.reject(client.client_id)
             continue
-        results[position] = update
-        accepted += 1
-        if stream is not None:
-            # Streaming aggregation overlaps collection: fold the
-            # accepted upload into the online accumulator the moment
-            # it passes the checks and free the decoded state — the
-            # server holds the accumulator plus at most the stateful
-            # codec's bounded reference chain, never the round's full
-            # update set.
-            stream.fold(update.state, float(update.num_samples), position)
-            update.state = None
-    return accepted
+        round_.accept(position, update)
 
 
 # -- the training endpoint ----------------------------------------------------
@@ -1390,42 +1290,10 @@ class ParallelExecutor(Executor):
         pools = self._ensure_pools(model)
         self._drain_zombies()
 
-        round_start = time.perf_counter()
-        round_deadline = self._current_deadline()
-        report = RoundFaultReport(round_index=round_index)
-        replay = self._replay_membership(participants, seeds, round_index, report)
-        if replay is not None:
-            # Pinned membership: dispatch exactly the recorded accepted
-            # set with its update-level faults, and run no deadline or
-            # quorum logic — the recorded drop map already says who fell.
-            dispatch_pairs, injected = replay
-            round_deadline = None
-        else:
-            actions = (
-                self.fault_plan.actions_for_round(
-                    [client.client_id for client in participants],
-                    round_index,
-                    round_deadline,
-                )
-                if self.fault_plan is not None
-                else None
-            )
-            if actions:
-                report.straggler_seconds = actions.straggler_seconds
-            injected = actions.injected if actions else {}
-            if actions:
-                # Plan-skipped clients (dropouts, over-deadline stragglers)
-                # never dispatch: they neither register nor receive a task,
-                # exactly as an unreachable client would behave.
-                report.dropped.update(actions.skipped)
-                dispatch_pairs = [
-                    (client, seed)
-                    for client, seed in zip(participants, seeds)
-                    if client.client_id not in actions.skipped
-                ]
-            else:
-                dispatch_pairs = list(zip(participants, seeds))
-        dispatched = [client for client, _ in dispatch_pairs]
+        round_ = self._round_controller(
+            participants, seeds, round_index, stream, kills_workers=True
+        )
+        dispatched = [slot.client for slot in round_.dispatched]
         for home in range(self.num_workers):
             # A worker that died outside any round (infrastructure
             # failure, an external kill) is indistinguishable from a warm
@@ -1433,7 +1301,7 @@ class ParallelExecutor(Executor):
             # this round re-registers its clients instead of feeding a
             # broken pool.
             if self._slot_is_dead(pools[home]):
-                self._replace_slot(pools, home, report)
+                self._replace_slot(pools, home, round_.report)
         self._register_new_participants(pools, dispatched)
         # LRU recency: re-insert this round's participants so insertion
         # order stays oldest-unsampled-first for the end-of-round eviction.
@@ -1473,12 +1341,11 @@ class ParallelExecutor(Executor):
             handle_of[home] = handle
         encode_seconds = time.perf_counter() - encode_start
 
-        updates: list[ClientUpdate] = []
         try:
             # Dispatch the broadcasts but do NOT wait on them: each worker
             # slot is a FIFO single-process pool, so its broadcast is
             # guaranteed to run before its tasks, and the decode itself is
-            # lazy inside the first task (_ensure_round_state) — worker A
+            # lazy inside the first task (ensure_round_state) — worker A
             # trains while worker B's blob is still in its pipe.
             dispatch_start = time.perf_counter()
             broadcast_futures = []
@@ -1500,73 +1367,12 @@ class ParallelExecutor(Executor):
             # server-side code touched the client's scratch since the last
             # sync.  A fault-plan event for this (client, round) rides in
             # the task tuple, so workers need no plan state of their own.
-            #
-            # Under a batched compute backend, a home worker's fault-free
-            # participants share ONE group task (trained as a fused stack);
-            # faulted clients always dispatch as singleton groups so the
-            # per-task fault protocol stays unambiguous.  Per-client
-            # numerics are bitwise independent of this grouping, so the
-            # trace cannot tell the difference.
             batched = self._pool_compute is not None and self._pool_compute.batched
-            descriptors: "list[list]" = []  # [positions, clients, seeds, blobs, fault]
-            group_at: dict[int, int] = {}  # home -> descriptor index
-            for position, (client, seed) in enumerate(dispatch_pairs):
-                server_delta = client.scratch.collect_delta()
-                sync_blob = encode_payload(server_delta) if server_delta else None
-                fault = injected.get(client.client_id)
-                # Count each client's fixed task fields exactly; the sync
-                # blob is never re-pickled (it can be dataset-scale) and
-                # the group tuple's framing is charged to noise like the
-                # blob framing — so the accounting stays invariant to the
-                # backend's grouping and the worker count.
-                self.wire.task_bytes += len(
-                    pickle.dumps(
-                        (client.client_id, round_index, seed, None, fault),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                ) + (len(sync_blob) if sync_blob is not None else 0)
-                home = self._home(client.client_id)
-                if batched and fault is None and home in group_at:
-                    descriptor = descriptors[group_at[home]]
-                    descriptor[0].append(position)
-                    descriptor[1].append(client)
-                    descriptor[2].append(seed)
-                    descriptor[3].append(sync_blob)
-                    continue
-                if batched and fault is None:
-                    group_at[home] = len(descriptors)
-                descriptors.append(
-                    [[position], [client], [seed], [sync_blob], fault]
+            for row in round_.task_rows(self._home, batched, self.wire):
+                row.handle = self._submit_task(
+                    pools, row.home, row.task(round_index)
                 )
-            pending: "list[list]" = []
-            for positions, clients, group_seeds, sync_blobs, fault in descriptors:
-                task = (
-                    tuple(client.client_id for client in clients),
-                    round_index,
-                    tuple(group_seeds),
-                    tuple(sync_blobs),
-                    fault,
-                )
-                pending.append(
-                    [
-                        clients,
-                        group_seeds,
-                        positions,
-                        self._submit_task(
-                            pools, self._home(clients[0].client_id), task
-                        ),
-                    ]
-                )
-
-            # The deadline clock starts once the whole round is in
-            # flight: from here, collection is bounded no matter what the
-            # workers do.  Under an adaptive policy the budget is this
-            # round's resolved percentile value (None while warming up).
-            deadline_at = (
-                None
-                if round_deadline is None
-                else time.perf_counter() + round_deadline
-            )
+            round_.start()
 
             # With the tasks already queued behind them, resolving the
             # broadcast futures costs no overlap; it surfaces transport
@@ -1580,58 +1386,33 @@ class ParallelExecutor(Executor):
             dispatch = 0.0
             for home, future in broadcast_futures:
                 try:
-                    timeout = (
-                        None
-                        if deadline_at is None
-                        else max(0.0, deadline_at - time.perf_counter())
-                    )
                     dispatch = max(
-                        dispatch, future.result(timeout=timeout) - dispatch_start
+                        dispatch,
+                        future.result(timeout=round_.remaining()) - dispatch_start,
                     )
                 except _FuturesTimeout:
                     self._zombie_futures.append((home, future))
                 except _BrokenPool:
                     pass  # collection rebuilds the slot when it gets there
 
-            if self.quorum is not None and replay is None:
-                self._collect_uploads_quorum(
-                    pools, pending, updates, round_index, strategy_blob,
-                    global_state, deadline_at, injected, report, stream,
-                )
-            else:
-                self._collect_uploads(
-                    pools, pending, updates, round_index, strategy_blob,
-                    global_state, deadline_at, injected, report, stream,
-                )
+            self._collect(pools, round_, strategy_blob, global_state)
+            updates = round_.close()
         finally:
+            # Absorb the rows the round gave up on: the slot's FIFO order
+            # lets each task finish harmlessly, its result is drained as a
+            # zombie next round, and its clients re-register before their
+            # next participation, because the worker-side copies diverge
+            # the moment the absorbed update completes.
+            for row in round_.abandoned:
+                for client in row.clients:
+                    self._resident.pop(client.client_id, None)
+                self._zombie_futures.append((row.home, row.handle))
             # Unlink this round's segments even when dispatch, a worker, or
             # an upload failed — callers that catch the error must not
             # retain blob-sized shared memory until the next successful
             # round or close().
             self.transport.end_round()
-            self.last_fault_report = report
-        deadline_dropped = tuple(
-            client_id
-            for client_id, reason in report.dropped.items()
-            if reason == "deadline"
-        )
-        quorum_missed = (
-            self.quorum is not None
-            and replay is None
-            and len(updates) < self.quorum
-            and bool(deadline_dropped)
-        )
-        if replay is None and deadline_dropped and (not updates or quorum_missed):
-            # The deadline expired with nothing at all to aggregate — or,
-            # under a quorum, with fewer accepted uploads than the
-            # configured floor: that is a failed round, not a gracefully
-            # partial one.
-            raise RoundTimeoutError(
-                round_index,
-                deadline_dropped,
-                quorum=self.quorum,
-                accepted=tuple(update.client_id for update in updates),
-            )
+            self.last_fault_report = round_.report
         # The per-round timing lists advance in lockstep, and only for
         # rounds that completed (the bench indexes them together).
         self.broadcast_encode_rounds.append(encode_seconds)
@@ -1640,7 +1421,6 @@ class ParallelExecutor(Executor):
             sum(update.decode_seconds for update in updates)
         )
         self._evict_lru(participants)
-        self._observe_round_duration(time.perf_counter() - round_start)
         return updates
 
     def _evict_lru(self, participants: Sequence[Client]) -> None:
@@ -1664,209 +1444,57 @@ class ParallelExecutor(Executor):
                 self._home(client_id), []
             ).append(client_id)
 
-    def _collect_uploads(
+    def _collect(
         self,
         pools: list[_ProcessPool],
-        pending: "list[list]",
-        updates: list[ClientUpdate],
-        round_index: int,
+        round_: RoundController,
         strategy_blob: bytes,
         global_state: StateDict,
-        deadline_at: float | None,
-        injected: "dict[int, FaultEvent]",
-        report: RoundFaultReport,
-        stream: "AggregationStream | None" = None,
     ) -> None:
-        """Drain the round's upload futures into ``updates`` in sampling
-        order, decoding states and syncing scratch along the way.
-
-        ``pending`` rows are ``[clients, seeds, positions, future]`` — one
-        co-resident group per row, with ``positions`` the clients' indices
-        in the round's dispatch order — and may be rewritten
-        mid-collection: a crashed slot replaces its lost rows with
-        re-submissions (or :class:`_DroppedTask` sentinels), and a row
-        whose future misses the deadline is dropped in place.  Survivors
-        are keyed by dispatch position and appended to ``updates`` sorted,
-        so they always land in sampling order, which keeps the
-        aggregation's floating-point reduction order (and hence the whole
-        trace) engine- and grouping-invariant.
-        """
-        suspects: set[int] = set()
-        results: dict[int, ClientUpdate] = {}
-        index = 0
-        while index < len(pending):
-            clients, _, positions, future = pending[index]
-            if isinstance(future, _DroppedTask):
-                for client in clients:
-                    report.dropped[client.client_id] = future.reason
-                index += 1
-                continue
-            try:
-                timeout = (
-                    None
-                    if deadline_at is None
-                    else max(0.0, deadline_at - time.perf_counter())
-                )
-                wire = future.result(timeout=timeout)
-            except _FuturesTimeout:
-                # Round deadline: close without this row's clients.  The
-                # task is absorbed — the slot's FIFO order lets it finish
-                # harmlessly and the result is drained as a zombie next
-                # round — and the clients re-register before their next
-                # participation, because the worker-side copies diverge the
-                # moment the absorbed update completes.
-                for client in clients:
-                    report.dropped[client.client_id] = "deadline"
-                    self._resident.pop(client.client_id, None)
-                self._zombie_futures.append(
-                    (self._home(clients[0].client_id), future)
-                )
-                index += 1
-                continue
-            except _BrokenPool:
-                self._recover_broken_slot(
-                    pools, self._home(clients[0].client_id), pending, index,
-                    round_index, strategy_blob, global_state, injected,
-                    suspects, report,
-                )
-                continue  # re-examine this row: re-submitted or sentinel
-            self._ingest_row(
-                pending[index], wire, global_state, results, report, stream
-            )
-            index += 1
-        updates.extend(update for _, update in sorted(results.items()))
-
-    def _ingest_row(
-        self,
-        row: "list",
-        wire: object,
-        global_state: StateDict,
-        results: "dict[int, ClientUpdate]",
-        report: RoundFaultReport,
-        stream: "AggregationStream | None" = None,
-    ) -> int:
-        return _ingest_group_upload(
-            self, row, wire, global_state, results, report, stream
-        )
-
-    def _collect_uploads_quorum(
-        self,
-        pools: list[_ProcessPool],
-        pending: "list[list]",
-        updates: list[ClientUpdate],
-        round_index: int,
-        strategy_blob: bytes,
-        global_state: StateDict,
-        deadline_at: float | None,
-        injected: "dict[int, FaultEvent]",
-        report: RoundFaultReport,
-        stream: "AggregationStream | None" = None,
-    ) -> None:
-        """Arrival-order collection under a quorum: close the round at the
-        first :attr:`quorum` *accepted* uploads instead of waiting for
-        every row.
+        """Feed the round's uploads to ``round_`` in arrival order until it
+        closes (everything in, quorum met, or deadline expired).
 
         Rows are waited on with ``FIRST_COMPLETED`` and ingested as they
-        arrive (in dispatch order within each arrival batch), so which
-        clients make the cut depends on wall clock — by design.  The
-        resulting accepted set is recorded by the server
-        (``RoundRecord.accepted``) and replayed via :meth:`set_replay` for
-        exact reproduction; group rows ingest whole, so a multi-client
-        group crossing the quorum boundary may overshoot the floor.  Once
-        the quorum is met, outstanding rows are dropped (reason
-        ``"quorum"``), their futures absorbed as zombies and their clients
-        evicted from residency — the same absorption contract as a
-        deadline drop — and the wall-clock headroom against the round's
-        deadline is reported as ``early_close_seconds``.
+        arrive (in dispatch order within each arrival batch), so under a
+        quorum which clients make the cut depends on wall clock — by
+        design; the server records the accepted set and
+        :meth:`Executor.set_replay` reproduces it.  Without a quorum the
+        order is invisible: ingest is per client and the streaming fold is
+        order-invariant.  A crashed slot rewrites its lost rows'
+        futures (or drops them) mid-collection.
         """
         suspects: set[int] = set()
-        results: "dict[int, ClientUpdate]" = {}
-        accepted = 0
-        remaining = list(pending)
-        while True:
-            live: "list[list]" = []
-            for row in remaining:
-                if isinstance(row[3], _DroppedTask):
-                    for client in row[0]:
-                        report.dropped[client.client_id] = row[3].reason
-                else:
-                    live.append(row)
-            remaining = live
-            if not remaining or accepted >= self.quorum:
-                break
-            timeout = (
-                None
-                if deadline_at is None
-                else max(0.0, deadline_at - time.perf_counter())
-            )
+        while not round_.closed:
+            rows = round_.outstanding
             done, _ = _futures_wait(
-                {row[3] for row in remaining},
-                timeout=timeout,
+                {row.handle for row in rows},
+                timeout=round_.remaining(),
                 return_when=FIRST_COMPLETED,
             )
             if not done:
-                # Deadline with the quorum still unmet: drop everything
-                # outstanding, exactly like the index-order collector.
-                for row in remaining:
-                    for client in row[0]:
-                        report.dropped[client.client_id] = "deadline"
-                        self._resident.pop(client.client_id, None)
-                    self._zombie_futures.append(
-                        (self._home(row[0][0].client_id), row[3])
-                    )
-                remaining = []
-                break
-            recovered = False
-            for row in [r for r in remaining if r[3] in done]:
-                if accepted >= self.quorum:
-                    break
+                round_.expire()
+                return
+            for row in [row for row in rows if row.handle in done]:
+                if round_.closed:
+                    return
                 try:
-                    wire = row[3].result()
+                    wire = row.handle.result()
                 except _BrokenPool:
-                    # Scan the whole remaining list: the slot runs FIFO,
-                    # so its first not-yet-harvested row is the task that
-                    # was executing when the process died.
                     self._recover_broken_slot(
-                        pools, self._home(row[0][0].client_id), remaining,
-                        0, round_index, strategy_blob, global_state,
-                        injected, suspects, report,
+                        pools, row.home, round_, strategy_blob,
+                        global_state, suspects,
                     )
-                    recovered = True
-                    break  # futures were rewritten; re-enter the wait loop
-                accepted += self._ingest_row(
-                    row, wire, global_state, results, report, stream
-                )
-                remaining.remove(row)
-            if recovered:
-                continue
-        if remaining and accepted >= self.quorum:
-            # Early close: the quorum is met with rows still outstanding.
-            report.early_closed = True
-            if deadline_at is not None:
-                report.early_close_seconds = max(
-                    0.0, deadline_at - time.perf_counter()
-                )
-            for row in remaining:
-                for client in row[0]:
-                    report.dropped[client.client_id] = "quorum"
-                    self._resident.pop(client.client_id, None)
-                self._zombie_futures.append(
-                    (self._home(row[0][0].client_id), row[3])
-                )
-        updates.extend(update for _, update in sorted(results.items()))
+                    break  # futures were rewritten; wait again
+                _ingest_group_upload(self, row, wire, global_state, round_)
 
     def _recover_broken_slot(
         self,
         pools: list[_ProcessPool],
         home: int,
-        pending: "list[list]",
-        index: int,
-        round_index: int,
+        round_: RoundController,
         strategy_blob: bytes,
         global_state: StateDict,
-        injected: "dict[int, FaultEvent]",
         suspects: set[int],
-        report: RoundFaultReport,
     ) -> None:
         """A slot's process died mid-round: rebuild it in place and re-run
         what the crash took with it.
@@ -1882,65 +1510,46 @@ class ParallelExecutor(Executor):
         The fresh worker holds no codec reference state, so the
         re-broadcast is a full frame.
         """
-        pool = self._replace_slot(pools, home, report)
-        rerun: "list[list]" = []
+        pool = self._replace_slot(pools, home, round_.report)
+        rerun: "list[TaskRow]" = []
         head = True  # the slot runs FIFO, so the first lost row below is
         # the task that was executing when the process died — only it can
         # be the killer; rows queued behind it never got to run.
-        for row in pending[index:]:
-            clients, _, _, future = row
-            if isinstance(future, _DroppedTask):
+        for row in round_.outstanding:
+            if row.home != home:
                 continue
-            if self._home(clients[0].client_id) != home:
-                continue
-            if future.done() and future.exception() is None:
+            if row.handle.done() and row.handle.exception() is None:
                 continue  # its result outran the crash; keep it
-            event = (
-                injected.get(clients[0].client_id) if len(clients) == 1 else None
-            )
-            if event is not None and event.kind == "crash":
-                row[3] = _DroppedTask("crash")  # the plan's victim
+            if row.fault is not None and row.fault.kind == "crash":
+                round_.drop(row, "crash")  # the plan's victim
             elif head and all(
-                client.client_id in suspects for client in clients
+                client.client_id in suspects for client in row.clients
             ):
                 # Executing for the second time when its worker died: a
                 # deterministic poison pill, re-running it would rebuild
                 # the slot forever.
-                row[3] = _DroppedTask("crash")
+                round_.drop(row, "crash")
             else:
                 if head:
-                    suspects.update(client.client_id for client in clients)
+                    suspects.update(client.client_id for client in row.clients)
                 rerun.append(row)
             head = False
         if not rerun:
             return
         self._register_clients(
-            pool, home, [client for row in rerun for client in row[0]]
+            pool, home, [client for row in rerun for client in row.clients]
         ).result()
-        self._broadcast_slot(pool, home, strategy_blob, global_state, round_index)
+        self._broadcast_slot(
+            pool, home, strategy_blob, global_state, round_.round_index
+        )
         for row in rerun:
-            clients, group_seeds, _, _ = row
-            fault = (
-                injected.get(clients[0].client_id) if len(clients) == 1 else None
-            )
             # Registration just re-shipped the full scratch, so the task
-            # needs no sync blobs.  Accounting is per client, grouping-
-            # invariant, as in the dispatch loop.
-            task = (
-                tuple(client.client_id for client in clients),
-                round_index,
-                tuple(group_seeds),
-                (None,) * len(clients),
-                fault,
+            # needs no sync blobs.
+            row.syncs = [None] * len(row.clients)
+            self.wire.task_bytes += row.task_bytes(round_.round_index)
+            row.handle = self._submit_task(
+                pools, home, row.task(round_.round_index)
             )
-            for client, seed in zip(clients, group_seeds):
-                self.wire.task_bytes += len(
-                    pickle.dumps(
-                        (client.client_id, round_index, seed, None, fault),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                )
-            row[3] = self._submit_task(pools, home, task)
 
     def _broadcast_slot(
         self,

@@ -34,16 +34,17 @@ Update-level faults (stragglers, hangs, corrupt and byzantine uploads)
 ride inside task tuples exactly as on the pool.  A plan's *crash* victim
 is never dispatched at all — a remote agent is not the server's process
 to kill — and is dropped server-side (reason ``"crash"``, same trace as
-every other engine).  Deadlines and quorum early-close run the same
-arrival-order machinery as the pool's quorum collector; a dropped task's
-eventual upload is discarded by task id (zombie absorption), and the
-dropped client re-registers before its next participation.  The one
-remote-only failure mode is a vanished agent: socket EOF or a write
-error marks the agent dead, its outstanding clients are dropped with
-reason ``"disconnect"`` (:data:`repro.fl.faults.DROP_REASONS`), the
-round closes gracefully over the survivors, and the dead agent's
-residents are re-homed (and re-registered) across the remaining agents
-on the next round.
+every other engine).  Membership, deadlines and quorum early-close are
+decided by the same :class:`repro.fl.rounds.RoundController` every
+engine runs; this module only moves frames and feeds it arrivals.  A
+dropped task's eventual upload is discarded by task id (zombie
+absorption), and the dropped client re-registers before its next
+participation.  The one remote-only failure mode is a vanished agent:
+socket EOF or a write error marks the agent dead, its outstanding
+clients are dropped with reason ``"disconnect"``
+(:data:`repro.fl.faults.DROP_REASONS`), the round closes gracefully over
+the survivors, and the dead agent's residents are re-homed (and
+re-registered) across the remaining agents on the next round.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from repro.fl.executor import (
     WireStats,
     _ingest_group_upload,
 )
-from repro.fl.faults import RoundFaultReport, RoundTimeoutError
+from repro.fl.rounds import RoundController, TaskRow
 from repro.fl.net.frames import FrameError, FrameStream
 from repro.fl.net.protocol import (
     BROADCAST,
@@ -300,43 +301,10 @@ class RemoteExecutor(Executor):
         stream: "AggregationStream | None" = None,
     ) -> "list[ClientUpdate]":
         live = self._ensure_agents(model)
-        round_start = time.perf_counter()
-        round_deadline = self._current_deadline()
-        report = RoundFaultReport(round_index=round_index)
-        replay = self._replay_membership(participants, seeds, round_index, report)
-        if replay is not None:
-            candidate_pairs, injected = replay
-            round_deadline = None
-        else:
-            actions = (
-                self.fault_plan.actions_for_round(
-                    [client.client_id for client in participants],
-                    round_index,
-                    round_deadline,
-                )
-                if self.fault_plan is not None
-                else None
-            )
-            if actions:
-                report.straggler_seconds = actions.straggler_seconds
-                report.dropped.update(actions.skipped)
-            injected = actions.injected if actions else {}
-            candidate_pairs = [
-                (client, seed)
-                for client, seed in zip(participants, seeds)
-                if not (actions and client.client_id in actions.skipped)
-            ]
-        # A crash victim is dropped at dispatch (remote agents are not the
-        # server's processes to kill); mirror the serial engine's sync
-        # point so dirty-tracking stays engine-invariant.
-        dispatch_pairs: "list[tuple[Client, int]]" = []
-        for client, seed in candidate_pairs:
-            fault = injected.get(client.client_id)
-            if replay is None and fault is not None and fault.kind == "crash":
-                client.scratch.collect_delta()
-                report.dropped[client.client_id] = "crash"
-                continue
-            dispatch_pairs.append((client, seed))
+        # A crash victim is dropped at dispatch: a remote agent is not the
+        # server's process to kill.
+        round_ = self._round_controller(participants, seeds, round_index, stream)
+        dispatched = [slot.client for slot in round_.dispatched]
 
         def home(client_id: int) -> _Agent:
             return live[client_id % len(live)]
@@ -347,7 +315,7 @@ class RemoteExecutor(Executor):
         encode_start = time.perf_counter()
         strategy_blob = encode_payload(strategy)
         agents_in_round = sorted(
-            {id(home(c.client_id)): home(c.client_id) for c, _ in dispatch_pairs}.values(),
+            {id(home(c.client_id)): home(c.client_id) for c in dispatched}.values(),
             key=lambda agent: live.index(agent),
         )
         self.wire.unique_broadcast_bytes += len(strategy_blob)
@@ -356,7 +324,7 @@ class RemoteExecutor(Executor):
         for agent in agents_in_round:
             newcomers = [
                 client
-                for client, _ in dispatch_pairs
+                for client in dispatched
                 if home(client.client_id) is agent
                 and agent.resident.get(client.client_id) is not client
             ]
@@ -390,106 +358,57 @@ class RemoteExecutor(Executor):
                     strategy_blob + state_blob,
                 )
             )
-
-        # Task grouping mirrors the pool: under a batched compute backend
-        # one group per home agent, faulted clients always singleton.
-        descriptors: "list[list]" = []  # [positions, clients, seeds, blobs, fault]
-        group_at: "dict[int, int]" = {}  # id(agent) -> descriptor index
-        for position, (client, seed) in enumerate(dispatch_pairs):
-            server_delta = client.scratch.collect_delta()
-            sync_blob = encode_payload(server_delta) if server_delta else None
-            fault = injected.get(client.client_id)
-            self.wire.task_bytes += len(
-                pickle.dumps(
-                    (client.client_id, round_index, seed, None, fault),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            ) + (len(sync_blob) if sync_blob is not None else 0)
-            agent_key = id(home(client.client_id))
-            if self._compute_batched and fault is None and agent_key in group_at:
-                descriptor = descriptors[group_at[agent_key]]
-                descriptor[0].append(position)
-                descriptor[1].append(client)
-                descriptor[2].append(seed)
-                descriptor[3].append(sync_blob)
-                continue
-            if self._compute_batched and fault is None:
-                group_at[agent_key] = len(descriptors)
-            descriptors.append([[position], [client], [seed], [sync_blob], fault])
-        # task_id -> [clients, seeds, positions, agent] (the row shape
-        # _ingest_group_upload shares with the pool's collectors).
-        outstanding: "dict[int, list]" = {}
-        rows_of: "dict[int, list[int]]" = {id(a): [] for a in agents_in_round}
-        for positions, clients, group_seeds, sync_blobs, fault in descriptors:
-            agent = home(clients[0].client_id)
+        # task_id -> row; an upload whose row is no longer outstanding (a
+        # previous round's zombie, or a task dropped at the deadline that
+        # finished late) is discarded.
+        by_task: "dict[int, TaskRow]" = {}
+        for row in round_.task_rows(home, self._compute_batched, self.wire):
             task_id = self._next_task_id
             self._next_task_id += 1
-            task = (
-                tuple(client.client_id for client in clients),
-                round_index,
-                tuple(group_seeds),
-                tuple(sync_blobs),
-                fault,
-            )
-            bundles[id(agent)].append(
+            bundles[id(row.home)].append(
                 encode_message(
                     TASK,
                     {"task": task_id, "round": round_index},
-                    pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL),
+                    pickle.dumps(
+                        row.task(round_index), protocol=pickle.HIGHEST_PROTOCOL
+                    ),
                 )
             )
-            outstanding[task_id] = [clients, group_seeds, positions, agent]
-            rows_of[id(agent)].append(task_id)
+            by_task[task_id] = row
         encode_seconds = time.perf_counter() - encode_start
 
-        results: "dict[int, ClientUpdate]" = {}
         remote_start = time.perf_counter()
-        if self.pipelined:
-            for agent in agents_in_round:
-                if not all(self._send(agent, f) for f in bundles[id(agent)]):
-                    self._drop_agent_rows(agent, outstanding, report)
-            deadline_at = (
-                None
-                if round_deadline is None
-                else time.perf_counter() + round_deadline
-            )
-            accepted = self._collect(
-                agents_in_round, outstanding, results, report,
-                global_state, deadline_at, stream,
-            )
-        else:
-            # Unpipelined reference mode: one agent's whole round trip
-            # completes before the next agent receives a byte.  The trace
-            # is identical (results key on dispatch position); only the
-            # overlap differs.
-            deadline_at = (
-                None
-                if round_deadline is None
-                else time.perf_counter() + round_deadline
-            )
-            accepted = 0
-            for agent in agents_in_round:
-                if not all(self._send(agent, f) for f in bundles[id(agent)]):
-                    self._drop_agent_rows(agent, outstanding, report)
-                    continue
-                pending_here = {
-                    task_id: outstanding.pop(task_id)
-                    for task_id in rows_of[id(agent)]
-                    if task_id in outstanding
-                }
-                accepted += self._collect(
-                    [agent], pending_here, results, report,
-                    global_state, deadline_at, stream,
-                    quorum_base=accepted,
-                )
-                if self.quorum is not None and accepted >= self.quorum:
-                    for task_id, row in list(outstanding.items()):
-                        self._drop_row(row, "quorum", report)
-                        outstanding.pop(task_id)
-                    report.early_closed = True
-                    break
-
-        updates = [update for _, update in sorted(results.items())]
+        try:
+            if self.pipelined:
+                for agent in agents_in_round:
+                    if not all(self._send(agent, f) for f in bundles[id(agent)]):
+                        self._drop_agent_rows(agent, round_)
+                round_.start()
+                self._collect(agents_in_round, round_, by_task, global_state)
+            else:
+                # Unpipelined reference mode: one agent's whole round trip
+                # completes before the next agent receives a byte.  The
+                # trace is identical (results key on dispatch position);
+                # only the overlap differs.
+                round_.start()
+                for agent in agents_in_round:
+                    if round_.closed:
+                        # Never sent: its broadcast reference did not
+                        # advance, so the next broadcast is a full frame.
+                        agent.bcast_ref = None
+                        continue
+                    if not all(self._send(agent, f) for f in bundles[id(agent)]):
+                        self._drop_agent_rows(agent, round_)
+                        continue
+                    self._collect([agent], round_, by_task, global_state)
+            updates = round_.close()
+        finally:
+            # The agent-side copy of an abandoned client diverges if its
+            # task later completes as a zombie: force re-registration.
+            for row in round_.abandoned:
+                for client in row.clients:
+                    row.home.resident.pop(client.client_id, None)
+            self.last_fault_report = round_.report
         busy = sum(
             update.train_seconds + update.decode_seconds + update.straggler_seconds
             for update in updates
@@ -497,149 +416,72 @@ class RemoteExecutor(Executor):
         remote_wall = time.perf_counter() - remote_start
         overlap = max(0.0, busy - remote_wall) if self.pipelined else 0.0
         self.last_overlap_seconds = overlap
-        self.last_fault_report = report
-
-        deadline_dropped = tuple(
-            client_id
-            for client_id, reason in report.dropped.items()
-            if reason in ("deadline", "disconnect")
-        )
-        quorum_missed = (
-            self.quorum is not None
-            and replay is None
-            and accepted < self.quorum
-            and bool(deadline_dropped)
-        )
-        if replay is None and deadline_dropped and (not updates or quorum_missed):
-            raise RoundTimeoutError(
-                round_index,
-                deadline_dropped,
-                quorum=self.quorum,
-                accepted=tuple(update.client_id for update in updates),
-            )
         self.pipeline_overlap_rounds.append(overlap)
         self.broadcast_encode_rounds.append(encode_seconds)
-        self._observe_round_duration(time.perf_counter() - round_start)
         return updates
 
     # -- collection -----------------------------------------------------------
 
-    def _drop_row(self, row: "list", reason: str, report: RoundFaultReport) -> None:
-        """Record one outstanding row's clients as dropped and force their
-        re-registration (the agent-side copy diverges if the task later
-        completes as a zombie)."""
-        clients, _, _, agent = row
-        for client in clients:
-            report.dropped[client.client_id] = reason
-            agent.resident.pop(client.client_id, None)
-
-    def _drop_agent_rows(
-        self, agent: _Agent, outstanding: "dict[int, list]",
-        report: RoundFaultReport,
-    ) -> None:
-        for task_id, row in list(outstanding.items()):
-            if row[3] is agent:
-                self._drop_row(row, "disconnect", report)
-                outstanding.pop(task_id)
+    def _drop_agent_rows(self, agent: _Agent, round_: RoundController) -> None:
+        for row in round_.outstanding:
+            if row.home is agent:
+                round_.drop(row, "disconnect")
 
     def _collect(
         self,
         agents: "list[_Agent]",
-        outstanding: "dict[int, list]",
-        results: "dict[int, ClientUpdate]",
-        report: RoundFaultReport,
+        round_: RoundController,
+        by_task: "dict[int, TaskRow]",
         global_state: StateDict,
-        deadline_at: "float | None",
-        stream: "AggregationStream | None",
-        quorum_base: int = 0,
-    ) -> int:
-        """Ingest uploads in arrival order until ``outstanding`` drains,
-        the quorum is met, or the deadline expires; returns how many
-        updates were accepted here.  An upload whose task id is no longer
-        outstanding (a previous round's zombie, or a deadline-dropped
-        task finishing late) is discarded silently."""
-        accepted = 0
+    ) -> None:
+        """Feed ``agents``' uploads to ``round_`` in arrival order until
+        their rows drain or the round closes (quorum met, deadline
+        expired)."""
 
-        def quorum_met() -> bool:
-            return (
-                self.quorum is not None
-                and quorum_base + accepted >= self.quorum
+        def waiting() -> bool:
+            return not round_.closed and any(
+                row.home in agents for row in round_.outstanding
             )
 
         selector = selectors.DefaultSelector()
-        watched: "list[_Agent]" = []
-        for agent in agents:
-            if agent.alive and any(
-                row[3] is agent for row in outstanding.values()
-            ):
-                selector.register(agent.sock, selectors.EVENT_READ, agent)
-                watched.append(agent)
+        watched = [agent for agent in agents if agent.alive]
+        for agent in watched:
+            selector.register(agent.sock, selectors.EVENT_READ, agent)
         try:
-            while outstanding and not quorum_met():
+            while waiting():
                 # Frames already decoded off the socket never re-trigger
                 # the selector: drain them first.
                 progressed = False
                 for agent in watched:
-                    while (
-                        agent.alive and agent.stream.buffered
-                        and outstanding and not quorum_met()
-                    ):
-                        accepted += self._pump(
-                            agent, outstanding, results, report,
-                            global_state, stream, selector,
-                        )
+                    while agent.alive and agent.stream.buffered and waiting():
+                        self._pump(agent, round_, by_task, global_state, selector)
                         progressed = True
                 if progressed:
                     continue
-                if not any(agent.alive for agent in watched):
-                    break
-                timeout = (
-                    None
-                    if deadline_at is None
-                    else max(0.0, deadline_at - time.perf_counter())
-                )
-                events = selector.select(timeout)
+                events = selector.select(round_.remaining())
                 if not events:
                     # Deadline expired: close over whatever arrived.  The
-                    # still-running tasks finish as zombies; their uploads
-                    # are discarded by task id.
-                    for task_id, row in list(outstanding.items()):
-                        self._drop_row(row, "deadline", report)
-                        outstanding.pop(task_id)
+                    # still-running tasks finish as zombies.
+                    round_.expire()
                     break
                 for key, _ in events:
-                    if outstanding and not quorum_met():
-                        accepted += self._pump(
-                            key.data, outstanding, results, report,
-                            global_state, stream, selector,
-                        )
+                    if waiting():
+                        self._pump(key.data, round_, by_task, global_state, selector)
         finally:
             selector.close()
-        if outstanding and quorum_met():
-            report.early_closed = True
-            if deadline_at is not None:
-                report.early_close_seconds = max(
-                    0.0, deadline_at - time.perf_counter()
-                )
-            for task_id, row in list(outstanding.items()):
-                self._drop_row(row, "quorum", report)
-                outstanding.pop(task_id)
-        return accepted
 
     def _pump(
         self,
         agent: _Agent,
-        outstanding: "dict[int, list]",
-        results: "dict[int, ClientUpdate]",
-        report: RoundFaultReport,
+        round_: RoundController,
+        by_task: "dict[int, TaskRow]",
         global_state: StateDict,
-        stream: "AggregationStream | None",
         selector: selectors.DefaultSelector,
-    ) -> int:
-        """Process one frame from ``agent``; returns accepted-update count.
-        EOF and read errors are a disconnect: the agent's outstanding rows
-        drop with the typed reason and the round moves on — a mid-upload
-        disconnect can never wedge round close."""
+    ) -> None:
+        """Process one frame from ``agent``.  EOF and read errors are a
+        disconnect: the agent's outstanding rows drop with the typed reason
+        and the round moves on — a mid-upload disconnect can never wedge
+        round close."""
         try:
             frame = agent.stream.next_frame()
         except (FrameError, ConnectionError, OSError):
@@ -650,18 +492,16 @@ class RemoteExecutor(Executor):
             except (KeyError, ValueError):  # pragma: no cover - already gone
                 pass
             self._mark_dead(agent)
-            self._drop_agent_rows(agent, outstanding, report)
-            return 0
+            self._drop_agent_rows(agent, round_)
+            return
         message = decode_message(frame)
         if message.kind != UPLOAD:  # pragma: no cover - protocol violation
             _log.warning("unexpected %r frame from agent %r", message.kind, agent.name)
-            return 0
-        row = outstanding.pop(message.meta.get("task"), None)
-        if row is None:
-            return 0  # zombie: its client was already dropped
-        return _ingest_group_upload(
-            self, row, message.blob, global_state, results, report, stream
-        )
+            return
+        row = by_task.pop(message.meta.get("task"), None)
+        if row is None or not round_.is_outstanding(row):
+            return  # zombie: its clients were already dropped
+        _ingest_group_upload(self, row, message.blob, global_state, round_)
 
     # -- lifecycle ------------------------------------------------------------
 

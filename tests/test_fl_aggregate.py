@@ -515,11 +515,13 @@ class TestQuorum:
         legacy = RoundTimeoutError(3, [4, 5])
         assert "quorum" not in str(legacy)
 
-    def test_parallel_quorum_misses_raise(self):
+    @pytest.mark.parametrize("engine", ["serial", "parallel"])
+    def test_parallel_quorum_misses_raise(self, engine):
         # Three of four clients hang past the deadline: one honest upload
         # arrives, which satisfies the legacy no-quorum contract ("some
         # update arrived, aggregate the survivors") but stays below
-        # quorum 2 — and that must now raise, naming both numbers.
+        # quorum 2 — and that must raise on every engine, naming both
+        # numbers.
         from repro.fl import FaultPlan
         from repro.utils.rng import SeedTree
 
@@ -530,8 +532,9 @@ class TestQuorum:
                 for c in clients[1:]
             )
         )
-        executor = ParallelExecutor(
-            num_workers=2, faults=plan, deadline=0.75, quorum=2
+        executor = make_executor(
+            engine, 2 if engine == "parallel" else None,
+            faults=plan, deadline=0.75, quorum=2,
         )
         tree = SeedTree(0).child("server", "test")
         seeds = [tree.seed("client", c.client_id, "round", 0) for c in clients]

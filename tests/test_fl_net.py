@@ -496,6 +496,32 @@ class TestRemoteExecutor:
         result = run_remote(remote)
         assert result.timing.pipeline_overlap_seconds == 0.0
 
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_quorum_of_everyone_is_not_an_early_close(self, pipelined):
+        """A quorum every participant meets cuts nothing, so no round
+        reports an early close — on either dispatch mode."""
+        remote = RemoteExecutor(num_agents=2, pipelined=pipelined, quorum=4)
+        result = run_remote(remote, rounds=2, config_kwargs={"quorum": 4})
+        assert result.timing.early_closed_rounds == 0
+        assert all(not record.dropped for record in result.history.records)
+
+    def test_unpipelined_early_close_keeps_delta_chains_in_sync(self):
+        """An agent the unpipelined loop never reaches (the quorum closed
+        the round first) never saw that round's broadcast, so its next one
+        must not be a delta against it: the run replays bit-identically."""
+        kwargs = {"quorum": 2, "codec": "delta"}
+        remote = RemoteExecutor(
+            num_agents=2, pipelined=False, quorum=2, codec="delta"
+        )
+        result = run_remote(remote, rounds=3, config_kwargs=kwargs)
+        # Rounds 0 and 1 close on the first agent; round 2 reaches both.
+        assert result.timing.early_closed_rounds == 2
+        assert not result.history.records[2].dropped
+        replayer = SerialExecutor(codec="delta")
+        replayer.set_replay(result.history)
+        replayed = run_once(replayer, config_kwargs={"codec": "delta"})
+        _assert_same(replayed, result, "unpipelined quorum replay")
+
     def test_rejects_zero_agents(self):
         with pytest.raises(ValueError):
             RemoteExecutor(num_agents=0)
