@@ -141,96 +141,23 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _positive_float(value: str) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
-    if number <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value!r}")
-    return number
+def _spec(
+    parse: Callable[[str], object],
+    convert: "Callable[[object], object] | None" = None,
+) -> Callable[[str], object]:
+    """An argparse ``type=`` that validates a spec with its library parser
+    at parse time, so a typo is a usage error carrying the library's own
+    message rather than a mid-run traceback.  Returns the spec string
+    unchanged, or ``convert`` of what the parser built."""
 
-
-def _deadline_spec(value: str) -> float | str:
-    """``"1.5"`` is a fixed budget in seconds (returned as a float, as
-    before adaptive policies existed); ``"percentile:p95"`` is an adaptive
-    spec, validated at parse time and passed through as a string."""
-    try:
-        seconds = float(value)
-    except ValueError:
+    def check(value: str) -> object:
         try:
-            make_deadline_policy(value)
+            parsed = parse(value)
         except (TypeError, ValueError) as exc:
             raise argparse.ArgumentTypeError(str(exc))
-        return value
-    if seconds <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value!r}")
-    return seconds
+        return value if convert is None else convert(parsed)
 
-
-def _aggregator_spec(value: str) -> str:
-    """Validate an aggregation-rule spec (e.g. ``median``,
-    ``clip(5)+krum``) at parse time so a typo is a usage error."""
-    try:
-        make_aggregator(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _topology_spec(value: str) -> str:
-    """Validate an aggregation-topology spec (``flat`` or ``edge:G``) at
-    parse time so a typo is a usage error."""
-    try:
-        parse_topology(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _fault_spec(value: str) -> str:
-    """Validate a fault-plan spec (e.g. ``dropout=0.1,crash=2``) at parse
-    time so a typo is a usage error, not a mid-run traceback."""
-    try:
-        make_fault_plan(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _codec_spec(value: str) -> str:
-    """Validate a codec pipeline spec (e.g. ``delta``, ``fp16+deflate``) at
-    parse time so a typo is a usage error, not a mid-run traceback."""
-    try:
-        make_codec(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _transport_spec(value: str) -> str:
-    """Validate a transport spec (``auto``, ``pipe``, ``shm``, or a
-    parameterized ``tcp[:host:port]``) at parse time so a typo is a
-    usage error, not a mid-run traceback.  Builds the transport (which
-    also validates any params suffix) and discards it — no transport
-    binds a socket before its first publish."""
-    try:
-        make_transport(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _objective_spec(value: str) -> str:
-    """Validate an objective-override spec (e.g. ``proto_nce=0.7`` or
-    ``ce=1,align=0.3``) syntactically at parse time; whether each named
-    term exists on the chosen method's objective is checked when the
-    strategy is built."""
-    try:
-        parse_objective_overrides(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
+    return check
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -241,7 +168,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="FedDG method (strategy) to run; --strategy is an alias",
     )
     parser.add_argument(
-        "--objective", type=_objective_spec, default=None,
+        "--objective", type=_spec(parse_objective_overrides), default=None,
         help="reweight the method's composite objective, e.g. "
         "'proto_nce=0.7' or 'consistency=1,align=0.5'; valid term names "
         "are the ones the method's objective declares "
@@ -267,13 +194,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--executor auto",
     )
     parser.add_argument(
-        "--codec", type=_codec_spec, default="identity",
+        "--codec", type=_spec(make_codec), default="identity",
         help="wire codec for weight payloads: one of "
         f"{', '.join(codec_specs())}, optionally '+deflate' (e.g. "
         "'fp16+deflate')",
     )
     parser.add_argument(
-        "--transport", type=_transport_spec, default="auto",
+        "--transport", type=_spec(make_transport), default="auto",
         help="wire transport for broadcast blobs: one of "
         f"{', '.join(transport_usage())}; 'pipe' copies the blob per "
         "worker, 'shm' publishes one shared-memory copy per round, "
@@ -290,20 +217,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "the model supports it — results are bitwise identical either way",
     )
     parser.add_argument(
-        "--faults", type=_fault_spec, default=None,
+        "--faults", type=_spec(make_fault_plan), default=None,
         help="deterministic fault-injection plan, e.g. "
         "'dropout=0.1,straggler=0.25:0.05,corrupt=0.05,crash=2+5,seed=7' "
         "(see repro.fl.faults); faulty rounds aggregate over the survivors",
     )
     parser.add_argument(
-        "--deadline", type=_deadline_spec, default=None,
+        # "1.5" parses to a float number of seconds, an adaptive spec to
+        # its string form.
+        "--deadline",
+        type=_spec(make_deadline_policy, lambda policy: policy.spec),
+        default=None,
         help="per-round wall-clock budget: seconds, or an adaptive spec "
         "like 'percentile:p95' (the p95 of recent round durations, with "
         "slack); when it expires the round closes with whatever updates "
         "arrived and stragglers are absorbed into the next round",
     )
     parser.add_argument(
-        "--aggregator", type=_aggregator_spec, default="mean",
+        "--aggregator", type=_spec(make_aggregator), default="mean",
         help="server-side aggregation rule: one of "
         f"{', '.join(aggregator_specs())}, optionally prefixed "
         "'clip(tau)+' (e.g. 'clip(5)+krum'); 'mean' (default) is the "
@@ -317,7 +248,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "set is recorded for exact replay",
     )
     parser.add_argument(
-        "--topology", type=_topology_spec, default="flat",
+        "--topology", type=_spec(parse_topology), default="flat",
         help="aggregation topology: 'flat' (default) reduces every upload "
         "at the root, 'edge:G' fans the round over G edge aggregators "
         "whose partial sums the root composes — bit-identical to flat, "

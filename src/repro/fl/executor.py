@@ -51,9 +51,12 @@ Weight payloads in both directions additionally pass through a pluggable
 (the historical wire), ``delta`` ships lossless compressed diffs against
 reference states both endpoints hold (workers keep the previous broadcast;
 the server keeps each client's last acknowledged upload), and ``fp16`` /
-``qint8`` quantize.  Stateful codec references reset whenever their
-endpoint resets — pool rebuilds clear every reference, and re-registering
-a client clears that client's upload chain on both sides.
+``qint8`` quantize.  The server's halves of those references, and which
+clients live on which worker, are kept by a
+:class:`repro.fl.residency.EndpointLedger`.  References reset with their
+endpoint: a pool rebuild clears all of them, a lost slot only its own
+(upload references survive it), and re-registering a client clears that
+client's upload chain on both sides.
 
 *How* the encoded broadcast blob reaches the workers is a pluggable
 **transport** (:mod:`repro.fl.transport`), negotiated at pool build like
@@ -131,6 +134,7 @@ from repro.fl.faults import (
     poison_state,
     state_is_corrupt,
 )
+from repro.fl.residency import EndpointLedger
 from repro.fl.rounds import RoundController, TaskRow
 from repro.fl.transport import Transport, make_transport, resolve_transport
 from repro.nn.serialize import StateDict, decode_payload, encode_payload
@@ -631,8 +635,9 @@ def _ingest_group_upload(
     (:class:`ParallelExecutor`) and the socket engine
     (:class:`repro.fl.net.executor.RemoteExecutor`) — so upload semantics
     (codec chains, scratch materialization, corruption screening) are
-    literally one code path.  ``engine`` supplies
-    ``wire``/``codec``/``fault_plan``/``_upload_refs`` and, optionally, a
+    literally one code path.  ``engine`` supplies ``wire``/``fault_plan``,
+    the :class:`repro.fl.residency.EndpointLedger` (``ledger``) whose
+    upload references decode each state, and, optionally, a
     ``transport`` whose ``recv_upload`` unwraps the wire bytes.
 
     The decode order is fixed per row and codec chains are per client, so
@@ -648,12 +653,7 @@ def _ingest_group_upload(
     for client, position, update in zip(row.clients, row.positions, row_updates):
         # Restore the codec-encoded state before anything
         # downstream (aggregation, benches) touches the update.
-        decoded = engine.codec.decode(
-            update.state, engine._upload_refs.get(update.client_id)
-        )
-        update.state = decoded
-        if engine.codec.stateful:
-            engine._upload_refs[update.client_id] = decoded
+        update.state = engine.ledger.decode_upload(update.client_id, update.state)
         # The out-of-band decode hands back read-only views into
         # the upload blob.  That is fine for ``state`` (dropped
         # after aggregation), but scratch outlives the round:
@@ -1089,23 +1089,9 @@ class ParallelExecutor(Executor):
         # The home is remembered so close() can kill — rather than join —
         # a slot whose zombie turns out to be genuinely wedged.
         self._zombie_futures: "list[tuple[int, Future]]" = []
-        # client_id -> the exact server-side object resident on its home
-        # worker.  Strong references on purpose: identity (``is``) decides
-        # re-registration, and a dead object's id must not be recycled into
-        # a false "already resident".  Insertion order doubles as LRU
-        # recency (dispatched residents are re-inserted each round), so a
-        # ``max_resident`` bound evicts the longest-unsampled clients.
-        self._resident: dict[int, Client] = {}
-        # Eviction ids queued for each home worker, piggybacked on the next
-        # registration blob so the worker's own copies (and upload refs)
-        # are freed without a dedicated message.
-        self._pending_evictions: dict[int, list[int]] = {}
-        # Server halves of the stateful-codec reference chains (see the
-        # worker globals): worker slot -> last broadcast state, and
-        # client_id -> last decoded upload.  Populated only when
-        # ``codec.stateful``.
-        self._bcast_refs: dict[int, StateDict] = {}
-        self._upload_refs: dict[int, StateDict] = {}
+        #: Which clients are resident on which worker slot, and the server
+        #: halves of the stateful-codec reference chains.
+        self.ledger = EndpointLedger(self.codec, self.wire, max_resident)
 
     @staticmethod
     def _architecture_of(model: "FeatureClassifierModel") -> tuple:
@@ -1192,13 +1178,8 @@ class ParallelExecutor(Executor):
     ) -> _ProcessPool:
         """Tear down one slot's dead pool and stand up a fresh process.
 
-        Worker-resident state died with the process, so the slot's
-        residents are evicted (they re-register from the server-side
-        copies before their next task) and its broadcast reference chain
-        is cleared (the next broadcast to this slot is a full frame).
-        Server-side *upload* reference chains are left alone: uploads
-        that outran the crash still decode against them, and
-        re-registration resets both endpoints.
+        Worker-resident state died with the process; the ledger forgets
+        it (:meth:`repro.fl.residency.EndpointLedger.endpoint_lost`).
         """
         report.rebuilt_workers += 1
         pools[home].shutdown(wait=False)
@@ -1206,14 +1187,7 @@ class ParallelExecutor(Executor):
         if self._pool_initargs is not None:
             # The model template re-ships with the fresh process.
             self.wire.registration_bytes += len(self._pool_initargs[0])
-        for client_id in [
-            cid for cid in self._resident if self._home(cid) == home
-        ]:
-            self._resident.pop(client_id)
-        self._bcast_refs.pop(home, None)
-        # Queued evictions are moot: the worker-side copies they targeted
-        # died with the process.
-        self._pending_evictions.pop(home, None)
+        self.ledger.endpoint_lost(home)
         return pool
 
     @staticmethod
@@ -1230,52 +1204,23 @@ class ParallelExecutor(Executor):
             failed.set_exception(exc)
             return failed
 
-    def _register_clients(
-        self, pool: _ProcessPool, home: int, clients: "list[Client]"
-    ) -> Future:
-        """Ship ``clients`` to their home slot in one registration blob and
-        mirror the sync points server-side (scratch marked clean, upload
-        reference chains reset on both endpoints).  Eviction ids queued
-        for this slot ride along in the same blob (see
-        :func:`_worker_register`)."""
-        evict_ids = tuple(self._pending_evictions.pop(home, ()))
-        blob = encode_payload((clients, evict_ids))
-        self.wire.registration_bytes += len(blob)
-        # Each client ships to exactly one home, so the blob is already
-        # fan-out-free and counts unchanged toward the unique floor.
-        self.wire.unique_registration_bytes += len(blob)
-        future = pool.submit(_worker_register, blob)
-        for client in clients:
-            # Mirror the worker-side sync point: from here on, only
-            # deltas travel in either direction.
-            client.scratch.mark_clean()
-            self._resident[client.client_id] = client
-            # ...and the worker-side chain reset: a fresh resident's
-            # first upload is a full frame again.
-            self._upload_refs.pop(client.client_id, None)
-        return future
-
-    def _register_new_participants(
-        self, pools: list[_ProcessPool], participants: Sequence[Client]
-    ) -> None:
-        """Ship not-yet-resident participants to their home workers, grouped
-        so each worker receives at most one registration blob per round.
-
-        Homes with queued evictions but no newcomers get an empty
-        registration — the flush that actually frees the worker-side
-        copies — so LRU hygiene never waits on a resample."""
-        newcomers: dict[int, list[Client]] = {}
-        for client in participants:
-            if self._resident.get(client.client_id) is not client:
-                newcomers.setdefault(self._home(client.client_id), []).append(client)
-        for home in self._pending_evictions:
-            newcomers.setdefault(home, [])
-        futures = [
-            self._register_clients(pools[home], home, clients)
-            for home, clients in sorted(newcomers.items())
-        ]
-        for future in futures:
-            future.result()  # surface registration errors before any task
+    def _publish(
+        self, homes: "list[int]", strategy_blob: bytes, global_state: StateDict
+    ) -> "dict[int, object]":
+        """Publish the round's broadcast to ``homes``: one transport
+        publish per distinct encoded state (under shm the blob is written
+        once per round no matter how many workers fan out), plus each
+        slot's per-endpoint cost.  Returns each home's handle."""
+        handle_of: "dict[int, object]" = {}
+        for state_blob, group in self.ledger.broadcast(homes, global_state):
+            handle = self.transport.publish(state_blob)
+            per_home = len(strategy_blob) + self.transport.handle_wire_bytes(handle)
+            self.wire.broadcast_bytes += (
+                self.transport.publish_wire_bytes(state_blob)
+                + per_home * len(group)
+            )
+            handle_of.update(dict.fromkeys(group, handle))
+        return handle_of
 
     def run_round(
         self,
@@ -1302,43 +1247,21 @@ class ParallelExecutor(Executor):
             # broken pool.
             if self._slot_is_dead(pools[home]):
                 self._replace_slot(pools, home, round_.report)
-        self._register_new_participants(pools, dispatched)
-        # LRU recency: re-insert this round's participants so insertion
-        # order stays oldest-unsampled-first for the end-of-round eviction.
-        for client in dispatched:
-            resident = self._resident.pop(client.client_id, None)
-            if resident is not None:
-                self._resident[client.client_id] = resident
+        futures = [
+            pools[home].submit(_worker_register, blob)
+            for home, blob in self.ledger.registrations(
+                range(self.num_workers), dispatched, self._home
+            )
+        ]
+        for future in futures:
+            future.result()  # surface registration errors before any task
 
-        # One broadcast per participating worker, not per task.  The state
-        # is codec-encoded against each worker's reference chain; workers
-        # whose chains point at the same state (the common case — every
-        # participating worker saw the last broadcast) share one encode —
-        # and one transport publish, so under shm the blob is written once
-        # per round no matter how many workers fan out.
+        # One broadcast per participating worker, not per task.
         encode_start = time.perf_counter()
         strategy_blob = encode_payload(strategy)
-        homes = sorted({self._home(client.client_id) for client in dispatched})
-        handle_for_ref: dict[int, object] = {}
-        handle_of: dict[int, object] = {}
         self.wire.unique_broadcast_bytes += len(strategy_blob)
-        for home in homes:
-            ref = self._bcast_refs.get(home)
-            handle = handle_for_ref.get(id(ref))
-            if handle is None:
-                state_blob = encode_payload(self.codec.encode(global_state, ref))
-                handle = self.transport.publish(state_blob)
-                handle_for_ref[id(ref)] = handle
-                self.wire.unique_broadcast_bytes += len(state_blob)
-                self.wire.broadcast_bytes += self.transport.publish_wire_bytes(
-                    state_blob
-                )
-            if self.codec.stateful:
-                self._bcast_refs[home] = global_state
-            self.wire.broadcast_bytes += len(
-                strategy_blob
-            ) + self.transport.handle_wire_bytes(handle)
-            handle_of[home] = handle
+        homes = sorted({self._home(client.client_id) for client in dispatched})
+        handle_of = self._publish(homes, strategy_blob, global_state)
         encode_seconds = time.perf_counter() - encode_start
 
         try:
@@ -1403,9 +1326,8 @@ class ParallelExecutor(Executor):
             # zombie next round, and its clients re-register before their
             # next participation, because the worker-side copies diverge
             # the moment the absorbed update completes.
+            self.ledger.abandon(round_.abandoned)
             for row in round_.abandoned:
-                for client in row.clients:
-                    self._resident.pop(client.client_id, None)
                 self._zombie_futures.append((row.home, row.handle))
             # Unlink this round's segments even when dispatch, a worker, or
             # an upload failed — callers that catch the error must not
@@ -1420,29 +1342,8 @@ class ParallelExecutor(Executor):
         self.broadcast_decode_rounds.append(
             sum(update.decode_seconds for update in updates)
         )
-        self._evict_lru(participants)
+        self.ledger.evict_lru(participants)
         return updates
-
-    def _evict_lru(self, participants: Sequence[Client]) -> None:
-        """Bound the resident set: evict the longest-unsampled clients
-        (never a current participant — mid-round recovery reads them)
-        down to ``max_resident``, dropping the server-side copy and
-        upload reference now and queueing the worker-side eviction for
-        the slot's next registration blob."""
-        if self.max_resident is None:
-            return
-        in_round = {client.client_id for client in participants}
-        excess = len(self._resident) - self.max_resident
-        if excess <= 0:
-            return
-        for client_id in [
-            cid for cid in self._resident if cid not in in_round
-        ][:excess]:
-            self._resident.pop(client_id)
-            self._upload_refs.pop(client_id, None)
-            self._pending_evictions.setdefault(
-                self._home(client_id), []
-            ).append(client_id)
 
     def _collect(
         self,
@@ -1536,12 +1437,12 @@ class ParallelExecutor(Executor):
             head = False
         if not rerun:
             return
-        self._register_clients(
-            pool, home, [client for row in rerun for client in row.clients]
-        ).result()
-        self._broadcast_slot(
-            pool, home, strategy_blob, global_state, round_.round_index
+        blob = self.ledger.register(
+            home, [client for row in rerun for client in row.clients]
         )
+        pool.submit(_worker_register, blob).result()
+        handle = self._publish([home], strategy_blob, global_state)[home]
+        pool.submit(_worker_broadcast, strategy_blob, handle, round_.round_index)
         for row in rerun:
             # Registration just re-shipped the full scratch, so the task
             # needs no sync blobs.
@@ -1550,28 +1451,6 @@ class ParallelExecutor(Executor):
             row.handle = self._submit_task(
                 pools, home, row.task(round_.round_index)
             )
-
-    def _broadcast_slot(
-        self,
-        pool: _ProcessPool,
-        home: int,
-        strategy_blob: bytes,
-        global_state: StateDict,
-        round_index: int,
-    ) -> Future:
-        """Publish the round's broadcast to one (rebuilt) slot as a full
-        frame — the fresh worker has no reference chain to diff against."""
-        state_blob = encode_payload(self.codec.encode(global_state, None))
-        handle = self.transport.publish(state_blob)
-        self.wire.unique_broadcast_bytes += len(state_blob)
-        self.wire.broadcast_bytes += (
-            self.transport.publish_wire_bytes(state_blob)
-            + len(strategy_blob)
-            + self.transport.handle_wire_bytes(handle)
-        )
-        if self.codec.stateful:
-            self._bcast_refs[home] = global_state
-        return pool.submit(_worker_broadcast, strategy_blob, handle, round_index)
 
     def _drain_zombies(self) -> None:
         """Absorb tasks past deadlines left running: discard any finished
@@ -1622,13 +1501,10 @@ class ParallelExecutor(Executor):
             self._pool_architecture = None
             self._pool_compute = None  # re-negotiated at the next build
         self.transport.close()
-        self._resident.clear()
-        self._pending_evictions.clear()  # worker copies died with the pools
         self._zombie_futures.clear()  # joined (or killed) above
-        # Reference chains die with their endpoints: a rebuilt pool starts
-        # from full frames on both sides.
-        self._bcast_refs.clear()
-        self._upload_refs.clear()
+        # Residents and reference chains die with their endpoints: a
+        # rebuilt pool starts from full frames on both sides.
+        self.ledger.clear()
 
 
 def resolve_executor(

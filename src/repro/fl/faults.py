@@ -610,9 +610,11 @@ class FixedDeadline:
     adaptive = False
 
     def __post_init__(self) -> None:
-        if self.seconds <= 0:
+        # ``not >`` also catches nan, which compares false both ways.
+        if not 0 < self.seconds < float("inf"):
             raise ValueError(
-                f"deadline must be > 0 seconds, got {self.seconds}"
+                f"deadline must be a finite number of seconds > 0, "
+                f"got {self.seconds}"
             )
 
     @property

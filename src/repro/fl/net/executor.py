@@ -36,15 +36,17 @@ is never dispatched at all — a remote agent is not the server's process
 to kill — and is dropped server-side (reason ``"crash"``, same trace as
 every other engine).  Membership, deadlines and quorum early-close are
 decided by the same :class:`repro.fl.rounds.RoundController` every
-engine runs; this module only moves frames and feeds it arrivals.  A
-dropped task's eventual upload is discarded by task id (zombie
+engine runs, residency and codec chains by the pool's
+:class:`repro.fl.residency.EndpointLedger`; this module only moves frames.
+A dropped task's eventual upload is discarded by task id (zombie
 absorption), and the dropped client re-registers before its next
 participation.  The one remote-only failure mode is a vanished agent:
 socket EOF or a write error marks the agent dead, its outstanding
 clients are dropped with reason ``"disconnect"``
 (:data:`repro.fl.faults.DROP_REASONS`), the round closes gracefully over
-the survivors, and the dead agent's residents are re-homed (and
-re-registered) across the remaining agents on the next round.
+the survivors, and every client re-registers under the new layout on
+the next round.  Upload references survive the loss: the survivors'
+in-flight uploads are deltas against them.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from repro.fl.executor import (
     WireStats,
     _ingest_group_upload,
 )
+from repro.fl.residency import EndpointLedger
 from repro.fl.rounds import RoundController, TaskRow
 from repro.fl.net.frames import FrameError, FrameStream
 from repro.fl.net.protocol import (
@@ -102,23 +105,13 @@ _ACCEPT_TIMEOUT = 60.0
 class _Agent:
     """One connected remote endpoint, as the server sees it."""
 
-    __slots__ = (
-        "sock", "stream", "name", "alive",
-        "resident", "pending_evict", "bcast_ref",
-    )
+    __slots__ = ("sock", "stream", "name", "alive")
 
     def __init__(self, sock: socket.socket, stream: FrameStream, name: str) -> None:
         self.sock = sock
         self.stream = stream
         self.name = name
         self.alive = True
-        # client_id -> the exact server-side object resident on this agent
-        # (identity decides re-registration, as on the pool).
-        self.resident: "dict[int, Client]" = {}
-        # Worker-side copies to free with the next registration blob.
-        self.pending_evict: "list[int]" = []
-        # Stateful-codec broadcast reference chain for this endpoint.
-        self.bcast_ref: "StateDict | None" = None
 
 
 class RemoteExecutor(Executor):
@@ -168,7 +161,9 @@ class RemoteExecutor(Executor):
         self.num_agents = num_agents
         self.pipelined = pipelined
         self.wire = WireStats()
-        self._upload_refs: "dict[int, StateDict]" = {}
+        #: Which clients are resident on which agent, and the server halves
+        #: of the stateful-codec reference chains.
+        self.ledger = EndpointLedger(self.codec, self.wire)
         #: Per-completed-round cross-host overlap seconds (see the module
         #: docstring); the scaling bench reads this next to wall clock.
         self.pipeline_overlap_rounds: "list[float]" = []
@@ -258,13 +253,9 @@ class RemoteExecutor(Executor):
         return agents
 
     def _mark_dead(self, agent: _Agent) -> None:
-        """An agent vanished: close its socket and force a full re-home —
-        surviving agents flush their residents (evicted worker-side with
-        the next registration blob) so every client re-registers under the
-        new ``cid % len(live)`` layout, with both upload reference chains
-        reset.  A stale copy left resident would pass the identity check
-        after a *second* membership change and train from outdated
-        scratch."""
+        """An agent vanished: close its socket and re-home every client
+        under the new ``cid % len(live)`` layout
+        (:meth:`repro.fl.residency.EndpointLedger.membership_changed`)."""
         if not agent.alive:
             return
         agent.alive = False
@@ -273,11 +264,7 @@ class RemoteExecutor(Executor):
         except OSError:  # pragma: no cover - close is best-effort
             pass
         _log.warning("agent %r disconnected", agent.name)
-        for peer in self._agents or []:
-            if peer.alive:
-                peer.pending_evict.extend(peer.resident)
-                peer.resident.clear()
-        self._upload_refs.clear()
+        self.ledger.membership_changed(agent)
 
     def _send(self, agent: _Agent, payload: bytes) -> bool:
         """Write one frame to an agent; a write failure is a disconnect."""
@@ -314,50 +301,27 @@ class RemoteExecutor(Executor):
         # all back-to-back and the unpipelined path one agent at a time.
         encode_start = time.perf_counter()
         strategy_blob = encode_payload(strategy)
-        agents_in_round = sorted(
-            {id(home(c.client_id)): home(c.client_id) for c in dispatched}.values(),
-            key=lambda agent: live.index(agent),
-        )
         self.wire.unique_broadcast_bytes += len(strategy_blob)
-        state_blob_for_ref: "dict[int, bytes]" = {}
-        bundles: "dict[int, list[bytes]]" = {id(a): [] for a in agents_in_round}
-        for agent in agents_in_round:
-            newcomers = [
-                client
-                for client in dispatched
-                if home(client.client_id) is agent
-                and agent.resident.get(client.client_id) is not client
-            ]
-            if newcomers or agent.pending_evict:
-                evict_ids = tuple(agent.pending_evict)
-                agent.pending_evict = []
-                blob = encode_payload((newcomers, evict_ids))
-                self.wire.registration_bytes += len(blob)
-                self.wire.unique_registration_bytes += len(blob)
-                bundles[id(agent)].append(encode_message(REGISTER, blob=blob))
-                for client in newcomers:
-                    client.scratch.mark_clean()
-                    agent.resident[client.client_id] = client
-                    self._upload_refs.pop(client.client_id, None)
-            state_blob = state_blob_for_ref.get(id(agent.bcast_ref))
-            if state_blob is None:
-                state_blob = encode_payload(
-                    self.codec.encode(global_state, agent.bcast_ref)
-                )
-                state_blob_for_ref[id(agent.bcast_ref)] = state_blob
-                self.wire.unique_broadcast_bytes += len(state_blob)
-            if self.codec.stateful:
-                agent.bcast_ref = global_state
-            # Every agent pulls its own full copy over its own socket —
-            # honest per-endpoint cost, same shape as pipe.
-            self.wire.broadcast_bytes += len(strategy_blob) + len(state_blob)
-            bundles[id(agent)].append(
-                encode_message(
-                    BROADCAST,
-                    {"round": round_index, "strategy_bytes": len(strategy_blob)},
-                    strategy_blob + state_blob,
-                )
+        homes = {home(client.client_id) for client in dispatched}
+        agents_in_round = [agent for agent in live if agent in homes]
+        bundles: "dict[_Agent, list[bytes]]" = {a: [] for a in agents_in_round}
+        for agent, blob in self.ledger.registrations(
+            agents_in_round, dispatched, home
+        ):
+            bundles[agent].append(encode_message(REGISTER, blob=blob))
+        for state_blob, group in self.ledger.broadcast(
+            agents_in_round, global_state
+        ):
+            message = encode_message(
+                BROADCAST,
+                {"round": round_index, "strategy_bytes": len(strategy_blob)},
+                strategy_blob + state_blob,
             )
+            for agent in group:
+                # Every agent pulls its own full copy over its own socket —
+                # honest per-endpoint cost, same shape as pipe.
+                self.wire.broadcast_bytes += len(strategy_blob) + len(state_blob)
+                bundles[agent].append(message)
         # task_id -> row; an upload whose row is no longer outstanding (a
         # previous round's zombie, or a task dropped at the deadline that
         # finished late) is discarded.
@@ -365,7 +329,7 @@ class RemoteExecutor(Executor):
         for row in round_.task_rows(home, self._compute_batched, self.wire):
             task_id = self._next_task_id
             self._next_task_id += 1
-            bundles[id(row.home)].append(
+            bundles[row.home].append(
                 encode_message(
                     TASK,
                     {"task": task_id, "round": round_index},
@@ -381,7 +345,7 @@ class RemoteExecutor(Executor):
         try:
             if self.pipelined:
                 for agent in agents_in_round:
-                    if not all(self._send(agent, f) for f in bundles[id(agent)]):
+                    if not all(self._send(agent, f) for f in bundles[agent]):
                         self._drop_agent_rows(agent, round_)
                 round_.start()
                 self._collect(agents_in_round, round_, by_task, global_state)
@@ -393,11 +357,9 @@ class RemoteExecutor(Executor):
                 round_.start()
                 for agent in agents_in_round:
                     if round_.closed:
-                        # Never sent: its broadcast reference did not
-                        # advance, so the next broadcast is a full frame.
-                        agent.bcast_ref = None
+                        self.ledger.unsent(agent)
                         continue
-                    if not all(self._send(agent, f) for f in bundles[id(agent)]):
+                    if not all(self._send(agent, f) for f in bundles[agent]):
                         self._drop_agent_rows(agent, round_)
                         continue
                     self._collect([agent], round_, by_task, global_state)
@@ -405,9 +367,7 @@ class RemoteExecutor(Executor):
         finally:
             # The agent-side copy of an abandoned client diverges if its
             # task later completes as a zombie: force re-registration.
-            for row in round_.abandoned:
-                for client in row.clients:
-                    row.home.resident.pop(client.client_id, None)
+            self.ledger.abandon(round_.abandoned)
             self.last_fault_report = round_.report
         busy = sum(
             update.train_seconds + update.decode_seconds + update.straggler_seconds
@@ -525,4 +485,4 @@ class RemoteExecutor(Executor):
             self._listen_sock.close()
         except OSError:  # pragma: no cover
             pass
-        self._upload_refs.clear()
+        self.ledger.clear()

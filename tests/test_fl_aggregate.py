@@ -444,6 +444,11 @@ class TestDeadlinePolicies:
             make_deadline_policy(0.0)
         with pytest.raises(ValueError, match="deadline"):
             make_deadline_policy("-3")
+        # Non-finite budgets pass a plain ``<= 0`` check; the engines then
+        # disagree on them (the pool times out on nan, overflows on inf).
+        for bad in (float("nan"), float("inf"), "nan", "inf"):
+            with pytest.raises(ValueError, match="deadline"):
+                make_deadline_policy(bad)
 
     def test_adaptive_spec_parses(self):
         policy = make_deadline_policy("percentile:p95")
@@ -690,7 +695,8 @@ class TestCLI:
         from repro.cli import build_parser
 
         for flags in (["--aggregator", "meteor"], ["--quorum", "0"],
-                      ["--deadline", "percentile:p0"]):
+                      ["--deadline", "percentile:p0"],
+                      ["--deadline", "nan"], ["--deadline", "inf"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
                     ["lodo", "--suite", "pacs", "--method", "fedavg", *flags]

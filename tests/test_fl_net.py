@@ -12,6 +12,7 @@ and spec mismatches; a mid-upload agent disconnect is a typed fault
 import json
 import logging
 import os
+import pickle
 import socket
 import struct
 import threading
@@ -35,6 +36,7 @@ from repro.fl import (
     shm_supported,
     transport_specs,
 )
+from repro.fl.executor import WorkerRuntime
 from repro.fl.faults import DROP_REASONS
 from repro.fl.net import (
     FrameDecoder,
@@ -50,9 +52,12 @@ from repro.fl.net import (
 )
 from repro.fl.net.agent import run_agent
 from repro.fl.net.protocol import (
+    BROADCAST,
     HELLO,
+    REGISTER,
     REJECT,
     TASK,
+    UPLOAD,
     WELCOME,
     decode_message,
     encode_message,
@@ -568,6 +573,75 @@ class TestDisconnect:
         assert "disconnect" in _drop_reasons(result)
         # After the disconnect round every participant trains again.
         assert result.history.records[-1].participants
+
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_delta_run_survives_losing_an_agent(self, pipelined):
+        """Regression: losing an agent mid-round under the stateful delta
+        codec must keep the server's upload references — the survivor's
+        uploads of that round are still deltas against its own chains.
+        The saboteur serves round 0 for real, connects first (so it is
+        ``live[0]`` and, unpipelined, dies before the survivor is sent
+        anything), then vanishes on its first round-1 task."""
+        remote = RemoteExecutor(num_agents=2, pipelined=pipelined, codec="delta")
+        connected = threading.Event()
+
+        def saboteur():
+            sock = socket.create_connection(remote.address, timeout=30)
+            connected.set()
+            sock.settimeout(None)
+            stream = FrameStream(sock)
+            stream.send(encode_message(HELLO, hello_meta(name="saboteur")))
+            frame = stream.next_frame()
+            message = decode_message(frame) if frame is not None else None
+            if message is None or message.kind != WELCOME:
+                sock.close()
+                return
+            runtime = WorkerRuntime(
+                message.blob, message.meta["codec"],
+                message.meta["transport"], message.meta["compute"],
+            )
+            while (frame := stream.next_frame()) is not None:
+                message = decode_message(frame)
+                if message.kind == REGISTER:
+                    runtime.register(message.blob)
+                elif message.kind == BROADCAST:
+                    split = message.meta["strategy_bytes"]
+                    runtime.broadcast(
+                        message.blob[:split], message.blob[split:],
+                        message.meta["round"],
+                    )
+                elif message.kind == TASK and message.meta["round"] == 0:
+                    wire = runtime.run_task(pickle.loads(message.blob))
+                    stream.send(
+                        encode_message(UPLOAD, {"task": message.meta["task"]}, wire)
+                    )
+                else:
+                    break  # round 1's first task (or a goodbye): vanish
+            sock.close()
+
+        sab = threading.Thread(target=saboteur, daemon=True)
+        sab.start()
+        assert connected.wait(timeout=30)
+        good = threading.Thread(
+            target=run_agent, args=(remote.address,),
+            kwargs={"name": "survivor"}, daemon=True,
+        )
+        good.start()
+        try:
+            result = run_once(remote, rounds=4, config_kwargs={"codec": "delta"})
+        finally:
+            remote.close()
+        sab.join(timeout=10)
+        good.join(timeout=10)
+        assert not sab.is_alive() and not good.is_alive()
+        records = result.history.records
+        assert len(records) == 4
+        assert records[0].dropped == {}
+        # The saboteur homed the even client ids while both agents lived.
+        lost = {cid for cid in records[1].participants if cid % 2 == 0}
+        assert lost
+        assert records[1].dropped == {cid: "disconnect" for cid in lost}
+        assert all(record.dropped == {} for record in records[2:])
 
 
 # -- the run-trace digest ------------------------------------------------------

@@ -551,8 +551,8 @@ class TestMaxResidentLRU:
                 executor=executor,
             )
             server.run()
-            assert len(executor._resident) <= 4 + 6
-            assert len(executor._upload_refs) <= 4 + 6
+            assert executor.ledger.num_resident <= 4 + 6
+            assert executor.ledger.num_upload_refs <= 4 + 6
         finally:
             executor.close()
 
