@@ -1046,7 +1046,7 @@ def _scale_factory(image_shape=(3, 8, 8), num_classes=7, samples=6):
     return factory
 
 
-def _scale_session(population_size, participants, rounds, topology="flat",
+def _scale_session(population_size, participants, rounds, aggregator="mean",
                    workers=None):
     factory = _scale_factory()
     model = build_cnn_model((3, 8, 8), 7, rng=np.random.default_rng(0))
@@ -1060,7 +1060,7 @@ def _scale_session(population_size, participants, rounds, topology="flat",
         eval_sets={"test": factory(0).dataset},
         config=FederatedConfig(
             num_rounds=rounds, clients_per_round=participants, seed=0,
-            topology=topology,
+            aggregator=aggregator,
         ),
         executor=executor,
     )
@@ -1078,7 +1078,7 @@ def _run_scale() -> str:
     session at a fixed participant count under ``tracemalloc``; the 100k
     peak must stay within 2x of the 1k peak, or the server is still
     holding per-population state somewhere.  A second check replays a
-    small lazy session with the two-tier ``edge:4`` topology on both
+    small lazy session with the two-tier ``edge(4)+mean`` aggregator on both
     engines and demands the trace and final model stay bit-identical to
     flat FedAvg.  The sweep is also written as ``BENCH_scale.json``.
     """
@@ -1120,8 +1120,8 @@ def _run_scale() -> str:
 
     edge_identical = {}
     for label, workers in (("serial", None), ("parallel", 2)):
-        flat = _scale_session(1_000, 16, 2, topology="flat", workers=workers)
-        edged = _scale_session(1_000, 16, 2, topology="edge:4",
+        flat = _scale_session(1_000, 16, 2, workers=workers)
+        edged = _scale_session(1_000, 16, 2, aggregator="edge(4)+mean",
                                workers=workers)
         edge_identical[label] = bool(
             _trace_of(flat) == _trace_of(edged)
@@ -1143,7 +1143,7 @@ def _run_scale() -> str:
             "peak_ratio_large_vs_small": round(ratio, 3),
             "within_2x": within_2x,
             "edge_topology": {
-                "spec": "edge:4",
+                "spec": "edge(4)+mean",
                 "flat_identical": edge_identical,
             },
         },
@@ -1161,7 +1161,7 @@ def _run_scale() -> str:
         f"{label} {'yes' if ok else 'NO'}"
         for label, ok in edge_identical.items()
     )
-    return table + f"\nedge:4 trace == flat mean: {edge_line}"
+    return table + f"\nedge(4)+mean trace == flat mean: {edge_line}"
 
 
 def _tables(suite, worker_grid, codec="identity", transport="auto",

@@ -53,8 +53,7 @@ from repro.fl.codec import codec_specs, make_codec
 from repro.fl.compute import compute_specs
 from repro.fl.executor import EXECUTOR_KINDS
 from repro.fl.faults import make_deadline_policy, make_fault_plan
-from repro.fl.server import parse_topology
-from repro.fl.transport import make_transport, transport_usage
+from repro.fl.transport import TRANSPORT_KINDS, make_transport
 from repro.fl.strategy import Strategy
 from repro.nn.objective import parse_objective_overrides
 from repro.utils.tables import format_percent, format_table
@@ -101,7 +100,6 @@ def _setting_from_args(args: argparse.Namespace) -> ExperimentSetting:
         compute=args.compute,
         aggregator=args.aggregator,
         quorum=args.quorum,
-        topology=args.topology,
         max_resident=args.max_resident,
     )
 
@@ -202,7 +200,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--transport", type=_spec(make_transport), default="auto",
         help="wire transport for broadcast blobs: one of "
-        f"{', '.join(transport_usage())}; 'pipe' copies the blob per "
+        f"{', '.join(TRANSPORT_KINDS)}; 'pipe' copies the blob per "
         "worker, 'shm' publishes one shared-memory copy per round, "
         "'tcp[:host:port]' serves it from a loopback (or bound) blob "
         "server; 'auto' (default) prefers shm where the platform "
@@ -237,22 +235,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--aggregator", type=_spec(make_aggregator), default="mean",
         help="server-side aggregation rule: one of "
         f"{', '.join(aggregator_specs())}, optionally prefixed "
-        "'clip(tau)+' (e.g. 'clip(5)+krum'); 'mean' (default) is the "
-        "historical weighted FedAvg, the others are Byzantine-robust "
-        "(see repro.fl.aggregate)",
+        "'clip(tau)+' (e.g. 'clip(5)+krum') and/or 'edge(G)+', which fans "
+        "the round over G edge aggregators whose partial sums the root "
+        "composes (bit-identical to flat; needs a streaming rule: mean, "
+        "clip(tau)+mean); 'mean' (default) is the historical weighted "
+        "FedAvg, the others are Byzantine-robust (see repro.fl.aggregate)",
     )
     parser.add_argument(
         "--quorum", type=_positive_int, default=None,
         help="close each round as soon as this many uploads arrived; "
         "remaining participants are dropped as 'quorum' and the accepted "
         "set is recorded for exact replay",
-    )
-    parser.add_argument(
-        "--topology", type=_spec(parse_topology), default="flat",
-        help="aggregation topology: 'flat' (default) reduces every upload "
-        "at the root, 'edge:G' fans the round over G edge aggregators "
-        "whose partial sums the root composes — bit-identical to flat, "
-        "and requires a streaming-capable rule (mean, clip(tau)+mean)",
     )
     parser.add_argument(
         "--max-resident", type=_positive_int, default=None,

@@ -60,14 +60,12 @@ class ExperimentSetting:
     groups; ``"auto"`` resolves to the batched ``ensemble`` backend
     whenever the model supports it — a pure throughput knob, since
     per-client numerics are bitwise backend-invariant.
-    ``topology`` selects the aggregation tree (``"flat"`` or
-    ``"edge:G"`` — G edge aggregators reduce the round with the streaming
-    mean, bit-identical to flat), and ``max_resident`` bounds the
-    parallel engine's resident-client LRU — the scaling knobs for large
-    lazy populations.  ``objective`` reweights the strategy's composite
-    training objective per experiment (a ``"term=weight,..."`` spec over
-    the terms the method's objective declares — see
-    :mod:`repro.nn.objective`); ``None`` keeps the method's defaults.
+    ``max_resident`` bounds the parallel engine's resident-client LRU —
+    the scaling knob for large lazy populations.  ``objective``
+    reweights the strategy's composite training objective per experiment
+    (a ``"term=weight,..."`` spec over the terms the method's objective
+    declares — see :mod:`repro.nn.objective`); ``None`` keeps the
+    method's defaults.
     """
 
     num_clients: int = 20
@@ -87,7 +85,6 @@ class ExperimentSetting:
     compute: str = "auto"
     aggregator: str = "mean"
     quorum: int | None = None
-    topology: str = "flat"
     max_resident: int | None = None
     objective: str | None = None
 
@@ -206,7 +203,6 @@ def run_split_experiment(
             compute=setting.compute,
             aggregator=setting.aggregator,
             quorum=setting.quorum,
-            topology=setting.topology,
         ),
         executor=executor,
     )

@@ -67,7 +67,6 @@ from repro.fl.server import (
     FederatedConfig,
     FederatedResult,
     FederatedServer,
-    parse_topology,
 )
 from repro.fl.strategy import LocalTrainingConfig, Strategy, run_ce_epochs
 from repro.fl.timing import PhaseTimer, TimingReport
@@ -139,7 +138,6 @@ __all__ = [
     "FederatedConfig",
     "FederatedResult",
     "FederatedServer",
-    "parse_topology",
     "LocalTrainingConfig",
     "Strategy",
     "run_ce_epochs",

@@ -39,10 +39,9 @@ Rules
     ``tau`` before handing the uploads to the wrapped rule.  Bounds any
     single upload's pull even under ``mean``.
 ``edge(G)+<rule>``
-    Two-tier hierarchical topology (``--topology edge:G``): ``G`` edge
-    aggregators each reduce their group of uploads with the wrapped
-    rule's *streaming* form, and the root composes the partial
-    (sum, weight) pairs.  Weighted means compose exactly across tiers,
+    Two-tier hierarchical topology: ``G`` edge aggregators each reduce
+    their group of uploads with the wrapped rule's *streaming* form, and
+    the root composes the partial (sum, weight) pairs.  Weighted means compose exactly across tiers,
     so the result is bit-identical to the flat rule; the wrapped rule
     must be streaming-capable (``mean``, optionally behind ``clip``).
 
@@ -80,7 +79,6 @@ the server folds the count into
 
 from __future__ import annotations
 
-import re
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,6 +89,7 @@ from repro.nn.serialize import (
     average_states,
     flatten_state,
 )
+from repro.spec import Registry, parse_number, parse_pipeline
 
 __all__ = [
     "AGGREGATOR_KINDS",
@@ -106,11 +105,6 @@ __all__ = [
     "make_aggregator",
     "register_aggregator",
 ]
-
-#: Registered base rules (the ``clip(tau)+`` prefix composes with any;
-#: ``edge(G)+`` composes with streaming-capable ones).
-AGGREGATOR_KINDS = ("mean", "median", "trimmed_mean", "krum", "multi-krum")
-
 
 class AggregationStream:
     """One in-flight streaming reduction.
@@ -487,8 +481,9 @@ class ClipAggregator(Aggregator):
 
     def __init__(self, tau: float, inner: Aggregator) -> None:
         super().__init__()
-        if tau <= 0:
-            raise ValueError(f"clip tau must be > 0, got {tau}")
+        # ``not <`` also catches nan, which compares false both ways.
+        if not 0 < tau < float("inf"):
+            raise ValueError(f"clip tau must be a finite number > 0, got {tau}")
         self.tau = float(tau)
         self.inner = inner
         self.robust = inner.robust
@@ -552,8 +547,7 @@ class ClipAggregator(Aggregator):
 
 
 class EdgeAggregator(Aggregator):
-    """Two-tier hierarchical topology (``edge(G)+<rule>``,
-    ``--topology edge:G``).
+    """Two-tier hierarchical topology (``edge(G)+<rule>``).
 
     ``G`` edge aggregators each reduce their group of uploads (group =
     sampling position mod ``G``) with the wrapped rule's streaming form;
@@ -608,36 +602,21 @@ class EdgeAggregator(Aggregator):
 
 # -- registry -----------------------------------------------------------------
 
-_AggregatorFactory = Callable[..., Aggregator]
-_AGGREGATORS: dict[str, _AggregatorFactory] = {}
+_AGGREGATORS = Registry("aggregator")
+#: ``name(args)+`` stages that wrap the rule to their right.
+_PREFIXES = Registry("aggregator prefix")
 
-_SPEC_ITEM = re.compile(r"^\s*([a-z_\-]+)\s*(?:\(\s*([^()]*?)\s*\))?\s*$")
 
-
-def register_aggregator(name: str, factory: _AggregatorFactory) -> None:
+def register_aggregator(name: str, factory: Callable[..., Aggregator]) -> None:
     """Register a rule factory under ``name``; the factory receives the
     spec's parenthesized arguments as positional strings (``krum(2)`` calls
     ``factory("2")``)."""
-    _AGGREGATORS[name] = factory
+    _AGGREGATORS.register(name, factory)
 
 
 def aggregator_specs() -> tuple[str, ...]:
     """Registered base-rule names, sorted (mirrors codec_specs etc.)."""
-    return tuple(sorted(_AGGREGATORS))
-
-
-def _build_one(item: str, spec: str) -> tuple[str, tuple[str, ...]]:
-    match = _SPEC_ITEM.match(item)
-    if match is None:
-        raise ValueError(
-            f"bad aggregator spec item {item!r} in {spec!r}; expected "
-            f"name or name(args)"
-        )
-    name, args = match.group(1), match.group(2)
-    arg_tuple = tuple(
-        part.strip() for part in args.split(",") if part.strip()
-    ) if args else ()
-    return name, arg_tuple
+    return _AGGREGATORS.names()
 
 
 def make_aggregator(spec: "str | Aggregator | None") -> Aggregator:
@@ -655,80 +634,52 @@ def make_aggregator(spec: "str | Aggregator | None") -> Aggregator:
         return spec
     if not isinstance(spec, str) or not spec.strip():
         raise TypeError(f"aggregator spec must be a non-empty string, got {spec!r}")
-    parts = [part for part in spec.split("+")]
-    name, args = _build_one(parts[-1], spec)
-    factory = _AGGREGATORS.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown aggregator {name!r} in {spec!r}; expected one of "
-            f"{', '.join(aggregator_specs())} (optionally prefixed "
-            f"'clip(tau)+')"
-        )
-    try:
-        aggregator = factory(*args)
-    except TypeError as exc:
-        raise ValueError(
-            f"bad arguments for aggregator {name!r} in {spec!r}: {exc}"
-        ) from exc
-    for part in reversed(parts[:-1]):
-        prefix, prefix_args = _build_one(part, spec)
-        if prefix == "clip":
-            if len(prefix_args) != 1:
-                raise ValueError(
-                    f"clip takes exactly one argument (tau), got {part!r} in "
-                    f"{spec!r}"
-                )
-            try:
-                tau = float(prefix_args[0])
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad clip tau {prefix_args[0]!r} in {spec!r}"
-                ) from exc
-            aggregator = ClipAggregator(tau, aggregator)
-        elif prefix == "edge":
-            if len(prefix_args) != 1:
-                raise ValueError(
-                    f"edge takes exactly one argument (the group count), "
-                    f"got {part!r} in {spec!r}"
-                )
-            try:
-                groups = int(prefix_args[0])
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad edge group count {prefix_args[0]!r} in {spec!r}"
-                ) from exc
-            aggregator = EdgeAggregator(groups, aggregator)
-        else:
-            raise ValueError(
-                f"only 'clip(tau)' or 'edge(G)' may prefix an aggregator, "
-                f"got {part!r} in {spec!r}"
-            )
+    *prefixes, (name, args) = parse_pipeline(spec, "aggregator")
+    aggregator = _build(_AGGREGATORS, name, args, spec)
+    for name, args in reversed(prefixes):
+        aggregator = _build(_PREFIXES, name, (aggregator,) + args, spec)
     return aggregator
 
 
-def _int_arg(name: str, value: str) -> int:
+def _build(registry: Registry, name: str, args: tuple, spec: str) -> Aggregator:
+    factory = registry[name]
     try:
-        return int(value)
-    except ValueError as exc:
-        raise ValueError(f"bad {name} argument {value!r}") from exc
+        return factory(*args)
+    except TypeError as exc:
+        raise ValueError(
+            f"bad arguments for {registry.kind} {name!r} in {spec!r}: {exc}"
+        ) from exc
 
 
-register_aggregator("mean", lambda: MeanAggregator())
-register_aggregator("median", lambda: MedianAggregator())
+register_aggregator("mean", MeanAggregator)
+register_aggregator("median", MedianAggregator)
 register_aggregator(
     "trimmed_mean",
-    lambda k="1": TrimmedMeanAggregator(k=_int_arg("trimmed_mean", k)),
+    lambda k="1": TrimmedMeanAggregator(k=parse_number(k, "trimmed_mean k", int)),
 )
 register_aggregator(
     "krum",
     lambda f=None: KrumAggregator(
-        m=1, f=None if f is None else _int_arg("krum", f)
+        m=1, f=None if f is None else parse_number(f, "krum f", int)
     ),
 )
 register_aggregator(
     "multi-krum",
     lambda m="2", f=None: KrumAggregator(
-        m=_int_arg("multi-krum", m),
-        f=None if f is None else _int_arg("multi-krum", f),
+        m=parse_number(m, "multi-krum m", int),
+        f=None if f is None else parse_number(f, "multi-krum f", int),
     ),
 )
+_PREFIXES.register(
+    "clip", lambda inner, tau: ClipAggregator(parse_number(tau, "clip tau"), inner)
+)
+_PREFIXES.register(
+    "edge",
+    lambda inner, groups: EdgeAggregator(
+        parse_number(groups, "edge group count", int), inner
+    ),
+)
+
+#: Registered base rules (the ``clip(tau)+`` prefix composes with any;
+#: ``edge(G)+`` composes with streaming-capable ones).
+AGGREGATOR_KINDS = _AGGREGATORS.names()

@@ -58,6 +58,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.nn.serialize import StateDict
+from repro.spec import Registry, parse_pipeline
 
 __all__ = [
     "Codec",
@@ -417,18 +418,18 @@ class DeflateCodec(Codec):
 
 # -- registry -----------------------------------------------------------------
 
-_BASE_CODECS: dict[str, Callable[[], Codec]] = {}
-_FILTERS: dict[str, Callable[[Codec], Codec]] = {}
+_BASE_CODECS = Registry("codec")
+_FILTERS = Registry("codec filter")
 
 
 def register_codec(name: str, factory: Callable[[], Codec]) -> None:
     """Register a base codec under a spec name."""
-    _BASE_CODECS[name] = factory
+    _BASE_CODECS.register(name, factory)
 
 
 def register_filter(name: str, factory: Callable[[Codec], Codec]) -> None:
     """Register a pipeline stage usable as a ``+name`` spec suffix."""
-    _FILTERS[name] = factory
+    _FILTERS.register(name, factory)
 
 
 register_codec("identity", IdentityCodec)
@@ -440,7 +441,7 @@ register_filter("deflate", DeflateCodec)
 
 def codec_specs() -> tuple[str, ...]:
     """The registered base codec names (filters compose via ``+``)."""
-    return tuple(sorted(_BASE_CODECS))
+    return _BASE_CODECS.names()
 
 
 def make_codec(spec: "str | Codec") -> Codec:
@@ -453,19 +454,13 @@ def make_codec(spec: "str | Codec") -> Codec:
         return spec
     if not isinstance(spec, str) or not spec:
         raise TypeError(f"codec spec must be a non-empty string, got {spec!r}")
-    base, *filters = spec.split("+")
-    if base not in _BASE_CODECS:
-        raise ValueError(
-            f"unknown codec {base!r}; expected one of {codec_specs()}"
-        )
-    codec = _BASE_CODECS[base]()
-    for stage in filters:
-        if stage not in _FILTERS:
-            raise ValueError(
-                f"unknown codec filter {stage!r}; expected one of "
-                f"{tuple(sorted(_FILTERS))}"
-            )
-        codec = _FILTERS[stage](codec)
+    stages = parse_pipeline(spec, "codec")
+    if any(args for _, args in stages):
+        raise ValueError(f"codec stages take no arguments, got {spec!r}")
+    (base, _), *filters = stages
+    codec = _BASE_CODECS.make(base)
+    for name, _ in filters:
+        codec = _FILTERS.make(name, codec)
     return codec
 
 

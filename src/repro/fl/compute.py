@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.fl.client import Client
 from repro.nn.ensemble import ensemble_of, ensemble_supports, load_state_broadcast
+from repro.spec import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.fl.executor import ClientUpdate
@@ -63,10 +64,6 @@ __all__ = [
     "resolve_compute",
     "timed_local_update",
 ]
-
-#: Accepted ``--compute`` / config values; ``auto`` resolves at pool build.
-COMPUTE_KINDS = ("auto", "loop", "ensemble", "strict")
-
 
 def timed_local_update(
     strategy: "Strategy",
@@ -255,21 +252,25 @@ class _StrictBackend(EnsembleBackend):
     max_group_size = 1
 
 
-_BACKENDS: dict[str, Callable[[], ComputeBackend]] = {
-    "loop": LoopBackend,
-    "ensemble": EnsembleBackend,
-    "strict": _StrictBackend,
-}
+_BACKENDS = Registry("compute backend", extra=("auto",))
 
 
 def register_compute(name: str, factory: Callable[[], ComputeBackend]) -> None:
     """Register a compute backend factory under a spec name."""
-    _BACKENDS[name] = factory
+    _BACKENDS.register(name, factory)
+
+
+register_compute("loop", LoopBackend)
+register_compute("ensemble", EnsembleBackend)
+register_compute("strict", _StrictBackend)
+
+#: Accepted ``--compute`` / config values; ``auto`` resolves at pool build.
+COMPUTE_KINDS = _BACKENDS.extra + _BACKENDS.names()
 
 
 def compute_specs() -> tuple[str, ...]:
     """The registered concrete backend specs (``auto`` excluded)."""
-    return tuple(sorted(_BACKENDS))
+    return _BACKENDS.names()
 
 
 def make_compute(spec: "str | ComputeBackend") -> ComputeBackend:
@@ -280,11 +281,7 @@ def make_compute(spec: "str | ComputeBackend") -> ComputeBackend:
     """
     if isinstance(spec, ComputeBackend):
         return spec
-    factory = _BACKENDS.get(spec)
-    if factory is None:
-        known = ("auto",) + compute_specs()
-        raise ValueError(f"unknown compute backend {spec!r}; expected one of {known}")
-    return factory()
+    return _BACKENDS.make(spec)
 
 
 def resolve_compute(
@@ -302,7 +299,5 @@ def resolve_compute(
         if model is None:
             return "auto"
         return "ensemble" if ensemble_supports(model) else "loop"
-    if spec not in _BACKENDS:
-        known = ("auto",) + compute_specs()
-        raise ValueError(f"unknown compute backend {spec!r}; expected one of {known}")
+    _BACKENDS[spec]  # unknown names raise here
     return spec

@@ -138,6 +138,7 @@ from repro.fl.residency import EndpointLedger
 from repro.fl.rounds import RoundController, TaskRow
 from repro.fl.transport import Transport, make_transport, resolve_transport
 from repro.nn.serialize import StateDict, decode_payload, encode_payload
+from repro.spec import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.fl.aggregate import AggregationStream
@@ -156,8 +157,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "AUTO_CROSSOVER_TASKS",
 ]
-
-EXECUTOR_KINDS = ("auto", "serial", "parallel")
 
 #: ``executor="auto"`` crossover: per-round local-update tasks
 #: (participants x local epochs) at or above which the process pool's
@@ -1523,10 +1522,7 @@ def resolve_executor(
     information the safe answer is serial — it is bit-identical anyway.
     """
     if kind != "auto":
-        if kind not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
-            )
+        _EXECUTORS[kind]  # unknown kinds raise here
         return kind
     cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     if cpus < 2 or participants is None:
@@ -1578,27 +1574,37 @@ def make_executor(
             if workers is not None or max_resident is not None
             else resolve_executor(kind, participants, local_epochs)
         )
-    if kind == "serial":
-        if workers is not None:
-            raise ValueError(
-                "workers only applies to the parallel executor; "
-                "pass kind='parallel' or drop the workers count"
-            )
-        if max_resident is not None:
-            raise ValueError(
-                "max_resident only applies to the parallel executor; "
-                "pass kind='parallel' or drop the residency bound"
-            )
-        return SerialExecutor(
-            codec=codec, faults=faults, deadline=deadline, compute=compute,
-            quorum=quorum,
-        )
-    if kind == "parallel":
-        return ParallelExecutor(
-            num_workers=workers, codec=codec, transport=transport,
-            faults=faults, deadline=deadline, compute=compute, quorum=quorum,
-            max_resident=max_resident,
-        )
-    raise ValueError(
-        f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
+    return _EXECUTORS.make(
+        kind, workers=workers, max_resident=max_resident, transport=transport,
+        codec=codec, faults=faults, deadline=deadline, compute=compute,
+        quorum=quorum,
     )
+
+
+def _serial_engine(workers, max_resident, transport, **engine) -> Executor:
+    if workers is not None:
+        raise ValueError(
+            "workers only applies to the parallel executor; "
+            "pass kind='parallel' or drop the workers count"
+        )
+    if max_resident is not None:
+        raise ValueError(
+            "max_resident only applies to the parallel executor; "
+            "pass kind='parallel' or drop the residency bound"
+        )
+    return SerialExecutor(**engine)
+
+
+def _parallel_engine(workers, max_resident, transport, **engine) -> Executor:
+    return ParallelExecutor(
+        num_workers=workers, transport=transport, max_resident=max_resident,
+        **engine,
+    )
+
+
+_EXECUTORS = Registry("executor kind", extra=("auto",))
+_EXECUTORS.register("serial", _serial_engine)
+_EXECUTORS.register("parallel", _parallel_engine)
+
+#: Accepted ``--executor`` / setting values; ``auto`` resolves per run.
+EXECUTOR_KINDS = _EXECUTORS.extra + _EXECUTORS.names()

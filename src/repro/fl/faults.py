@@ -128,6 +128,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.spec import Registry, parse_head, parse_number, parse_pairs
 from repro.utils.rng import stable_hash
 
 __all__ = [
@@ -237,9 +238,10 @@ class FaultEvent:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.delay_seconds < 0:
+        if not 0 <= self.delay_seconds < float("inf"):
             raise ValueError(
-                f"delay_seconds must be >= 0, got {self.delay_seconds}"
+                f"delay_seconds must be a finite number >= 0, got "
+                f"{self.delay_seconds}"
             )
         if self.kind == "byzantine":
             if not self.mode:
@@ -321,18 +323,23 @@ class FaultPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.straggler_delay < 0:
+        # ``not <=`` also catches nan, which compares false both ways.
+        if not 0 <= self.straggler_delay < float("inf"):
             raise ValueError(
-                f"straggler_delay must be >= 0, got {self.straggler_delay}"
+                f"straggler_delay must be a finite number >= 0, got "
+                f"{self.straggler_delay}"
             )
         if self.byzantine_mode not in BYZANTINE_MODES:
             raise ValueError(
                 f"unknown byzantine mode {self.byzantine_mode!r}; expected "
                 f"one of {BYZANTINE_MODES}"
             )
-        if self.norm_screen is not None and self.norm_screen <= 0:
+        if self.norm_screen is not None and not (
+            0 < self.norm_screen < float("inf")
+        ):
             raise ValueError(
-                f"norm_screen must be > 0, got {self.norm_screen}"
+                f"norm_screen must be a finite number > 0, got "
+                f"{self.norm_screen}"
             )
         object.__setattr__(
             self, "crash_rounds", tuple(int(r) for r in self.crash_rounds)
@@ -455,51 +462,44 @@ def make_fault_plan(spec: "str | FaultPlan | None") -> FaultPlan | None:
     if not isinstance(spec, str) or not spec.strip():
         raise TypeError(f"fault spec must be a non-empty string, got {spec!r}")
     kwargs: dict[str, object] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part or "=" not in part:
-            raise ValueError(
-                f"bad fault spec item {part!r} in {spec!r}; expected key=value"
-            )
-        key, _, value = part.partition("=")
-        key = key.strip()
-        value = value.strip()
-        try:
-            if key == "dropout":
-                kwargs["dropout_rate"] = float(value)
-            elif key == "straggler":
-                rate, _, delay = value.partition(":")
-                kwargs["straggler_rate"] = float(rate)
-                if delay:
-                    kwargs["straggler_delay"] = float(delay)
-            elif key == "corrupt":
-                kwargs["corrupt_rate"] = float(value)
-            elif key == "crash":
-                kwargs["crash_rounds"] = tuple(
-                    int(r) for r in value.split("+") if r
-                )
-            elif key == "byzantine":
-                rate, _, mode = value.partition(":")
-                kwargs["byzantine_rate"] = float(rate)
-                if mode:
-                    kwargs["byzantine_mode"] = mode
-            elif key == "screen":
-                kwargs["norm_screen"] = float(value)
-            elif key == "seed":
-                kwargs["seed"] = int(value)
-            else:
-                raise ValueError(
-                    f"unknown fault spec key {key!r} in {spec!r}; expected "
-                    f"dropout, straggler, corrupt, crash, byzantine, "
-                    f"screen, or seed"
-                )
-        except ValueError as exc:
-            if "fault spec" in str(exc):
-                raise
-            raise ValueError(
-                f"bad value {value!r} for {key!r} in fault spec {spec!r}"
-            ) from exc
+    for key, value in parse_pairs(spec, "fault spec").items():
+        kwargs.update(_FAULT_KEYS[key](value))
     return FaultPlan(**kwargs)
+
+
+def _straggler(value: str) -> dict:
+    rate, delay = parse_head(value)
+    fields = {"straggler_rate": parse_number(rate, "straggler rate")}
+    if delay:
+        fields["straggler_delay"] = parse_number(delay, "straggler delay")
+    return fields
+
+
+def _byzantine(value: str) -> dict:
+    rate, mode = parse_head(value)
+    fields = {"byzantine_rate": parse_number(rate, "byzantine rate")}
+    if mode:
+        fields["byzantine_mode"] = mode
+    return fields
+
+
+def _crash(value: str) -> dict:
+    rounds = (parse_number(r, "crash round", int) for r in value.split("+") if r)
+    return {"crash_rounds": tuple(rounds)}
+
+
+#: ``--faults`` keys -> converters from the value string to FaultPlan fields.
+_FAULT_KEYS = Registry("fault spec key")
+for _key, _convert in (
+    ("dropout", lambda v: {"dropout_rate": parse_number(v, "dropout rate")}),
+    ("straggler", _straggler),
+    ("corrupt", lambda v: {"corrupt_rate": parse_number(v, "corrupt rate")}),
+    ("crash", _crash),
+    ("byzantine", _byzantine),
+    ("screen", lambda v: {"norm_screen": parse_number(v, "screen multiple")}),
+    ("seed", lambda v: {"seed": parse_number(v, "fault seed", int)}),
+):
+    _FAULT_KEYS.register(_key, _convert)
 
 
 def poison_state(state: dict) -> dict:
@@ -694,19 +694,20 @@ def make_deadline_policy(
     try:
         seconds = float(text)
     except ValueError:
-        seconds = None
-    if seconds is not None:
-        return FixedDeadline(seconds)
-    head, _, tail = text.partition(":")
-    if head.strip() != "percentile" or not tail.strip().startswith("p"):
+        name, param = parse_head(text)
+        return _DEADLINES.make(name.strip(), param)
+    return FixedDeadline(seconds)
+
+
+def _percentile(param: str | None) -> AdaptiveDeadline:
+    text = (param or "").strip()
+    if not text.startswith("p"):
         raise ValueError(
-            f"bad deadline spec {spec!r}; expected seconds or "
-            f"'percentile:pNN' (e.g. percentile:p95)"
+            f"bad percentile deadline {param!r}; expected 'percentile:pNN' "
+            f"(e.g. percentile:p95)"
         )
-    try:
-        percentile = float(tail.strip()[1:])
-    except ValueError as exc:
-        raise ValueError(
-            f"bad percentile in deadline spec {spec!r}"
-        ) from exc
-    return AdaptiveDeadline(percentile=percentile)
+    return AdaptiveDeadline(percentile=parse_number(text[1:], "deadline percentile"))
+
+
+_DEADLINES = Registry("deadline policy", extra=("<seconds>",))
+_DEADLINES.register("percentile", _percentile, usage="percentile:pNN")

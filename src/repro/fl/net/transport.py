@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from repro.fl.net.frames import recv_frame, send_frame
 from repro.fl.transport import Transport
+from repro.spec import parse_number
 from repro.utils.logging import get_logger
 
 __all__ = ["TcpTransport", "TcpHandle", "parse_endpoint"]
@@ -67,12 +68,7 @@ def parse_endpoint(
         host, port_text = default_host, params
     if not host:
         host = default_host
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(
-            f"bad tcp endpoint {params!r}: expected host:port with an integer port"
-        ) from None
+    port = parse_number(port_text, f"tcp endpoint {params!r}: port", int)
     if not 0 <= port <= 65535:
         raise ValueError(f"bad tcp endpoint {params!r}: port out of range")
     return (host, port)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.synthetic import LabeledDataset
-from repro.fl.aggregate import EdgeAggregator, make_aggregator
+from repro.fl.aggregate import make_aggregator
 from repro.fl.evaluation import evaluate_accuracy
 from repro.fl.client import Client
 from repro.fl.codec import make_codec
@@ -41,39 +41,9 @@ __all__ = [
     "FederatedConfig",
     "FederatedServer",
     "FederatedResult",
-    "parse_topology",
 ]
 
 _LOG = get_logger("fl.server")
-
-
-def parse_topology(topology: str) -> int | None:
-    """Validate an aggregation-topology spec.
-
-    ``"flat"`` (the historical single-tier reduction) returns ``None``;
-    ``"edge:G"`` returns the edge-aggregator group count ``G >= 1``.
-    Anything else raises ``ValueError`` — shared by config validation and
-    the CLI's parse-time check.
-    """
-    if not isinstance(topology, str):
-        raise TypeError(f"topology must be a string, got {topology!r}")
-    if topology == "flat":
-        return None
-    if topology.startswith("edge:"):
-        try:
-            groups = int(topology[len("edge:"):])
-        except ValueError as exc:
-            raise ValueError(
-                f"bad edge group count in topology {topology!r}"
-            ) from exc
-        if groups < 1:
-            raise ValueError(
-                f"edge group count must be >= 1, got {topology!r}"
-            )
-        return groups
-    raise ValueError(
-        f"unknown topology {topology!r}; expected 'flat' or 'edge:G'"
-    )
 
 
 @dataclass(frozen=True)
@@ -137,7 +107,6 @@ class FederatedConfig:
     compute: str = "auto"
     aggregator: str = "mean"
     quorum: int | None = None
-    topology: str = "flat"
 
     def __post_init__(self) -> None:
         if self.num_rounds < 1:
@@ -149,14 +118,9 @@ class FederatedConfig:
         make_deadline_policy(self.deadline)
         if self.quorum is not None and self.quorum < 1:
             raise ValueError(f"quorum must be >= 1, got {self.quorum}")
-        # Aggregation-rule spec: fail at config time, not mid-run.
+        # Aggregation-rule spec: fail at config time, not mid-run (an
+        # ``edge(G)+`` prefix also checks here that its rule streams).
         make_aggregator(self.aggregator)
-        # ...and the topology spec, plus its compatibility with the rule —
-        # an edge topology needs a streaming-capable rule, and finding
-        # that out mid-run would waste the whole run.
-        groups = parse_topology(self.topology)
-        if groups is not None:
-            EdgeAggregator(groups, make_aggregator(self.aggregator))
         # Participation validation lives with the sampler (the single source
         # of truth for the count-vs-fraction convention); constructing one
         # surfaces bad values at config time with the sampler's own errors.
@@ -258,51 +222,31 @@ class FederatedServer:
             deadline=config.deadline, compute=config.compute,
             quorum=config.quorum,
         )
-        if self.executor.codec.spec != make_codec(config.codec).spec:
-            raise ValueError(
-                f"executor carries codec {self.executor.codec.spec!r} but "
-                f"the config asks for {config.codec!r}; build the engine "
-                f"with the config's codec (make_executor(..., codec=...))"
-            )
-        # Faults and deadlines change who survives a round, so a config
-        # that asks for them must not be paired with an engine that won't
-        # apply them (the reverse — engine-level chaos under a plain
-        # config — is a deliberate testing pattern and stays allowed).
-        if config.faults is not None and (
-            self.executor.fault_plan != make_fault_plan(config.faults)
-        ):
-            raise ValueError(
-                f"executor carries fault plan {self.executor.fault_plan!r} "
-                f"but the config asks for {config.faults!r}; build the "
-                f"engine with the config's plan (make_executor(..., "
-                f"faults=...))"
-            )
-        if config.deadline is not None and (
-            self.executor.deadline_policy != make_deadline_policy(config.deadline)
-        ):
-            raise ValueError(
-                f"executor carries deadline "
-                f"{self.executor.deadline_policy!r} but the config asks for "
-                f"{config.deadline!r}; build the engine with the config's "
-                f"deadline (make_executor(..., deadline=...))"
-            )
-        if config.quorum is not None and self.executor.quorum != config.quorum:
-            raise ValueError(
-                f"executor carries quorum {self.executor.quorum!r} but the "
-                f"config asks for {config.quorum!r}; build the engine with "
-                f"the config's quorum (make_executor(..., quorum=...))"
-            )
-        # A pinned compute spec is part of the experiment record: the
-        # result is bitwise the same either way, but "what ran" must not
-        # silently diverge from what the config claims.  ``auto`` on the
-        # config accepts any engine — resolution happens at pool build.
-        if config.compute != "auto" and self.executor.compute != config.compute:
-            raise ValueError(
-                f"executor carries compute backend {self.executor.compute!r} "
-                f"but the config asks for {config.compute!r}; build the "
-                f"engine with the config's backend (make_executor(..., "
-                f"compute=...))"
-            )
+        # Each axis the config pins belongs to the experiment definition:
+        # the engine must carry the same canonical value, or "what ran"
+        # would silently diverge from what the config claims.  ``None``
+        # (and ``auto`` compute) pins nothing — engine-level chaos under a
+        # plain config is a deliberate testing pattern, and ``auto``
+        # resolves at pool build.
+        engine = self.executor
+        pinned = (
+            ("codec", "codec", make_codec(config.codec).spec, engine.codec.spec),
+            ("fault plan", "faults", make_fault_plan(config.faults),
+             engine.fault_plan),
+            ("deadline", "deadline", make_deadline_policy(config.deadline),
+             engine.deadline_policy),
+            ("quorum", "quorum", config.quorum, engine.quorum),
+            ("compute backend", "compute",
+             None if config.compute == "auto" else config.compute,
+             engine.compute),
+        )
+        for axis, kwarg, wanted, carried in pinned:
+            if wanted is not None and wanted != carried:
+                raise ValueError(
+                    f"executor carries {axis} {carried!r} but the config "
+                    f"asks for {wanted!r}; build the engine with the "
+                    f"config's {axis} (make_executor(..., {kwarg}=...))"
+                )
         # The aggregation rule belongs to the experiment definition; a
         # non-default config spec is installed onto a default-``mean``
         # strategy so CLI/protocol paths need no constructor plumbing, but
@@ -318,20 +262,6 @@ class FederatedServer:
                     f"{self.strategy.aggregator.spec!r} but the config asks "
                     f"for {config.aggregator!r}; drop one of the two"
                 )
-        # A two-tier topology wraps whatever rule ended up installed in an
-        # EdgeAggregator (construction re-checks that the rule streams).
-        groups = parse_topology(config.topology)
-        if groups is not None:
-            current = self.strategy.aggregator
-            if isinstance(current, EdgeAggregator):
-                if current.groups != groups:
-                    raise ValueError(
-                        f"strategy carries edge topology with "
-                        f"{current.groups} groups but the config asks for "
-                        f"{config.topology!r}; drop one of the two"
-                    )
-            else:
-                self.strategy.aggregator = EdgeAggregator(groups, current)
         self.sampler = UniformClientSampler(config.clients_per_round)
         # With the population known, the per-round participant count is
         # resolved — an unreachable quorum (fractional participation, tiny

@@ -67,6 +67,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.spec import Registry, parse_head
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -78,18 +79,12 @@ __all__ = [
     "register_transport",
     "resolve_transport",
     "transport_specs",
-    "transport_usage",
     "shm_supported",
     "TRANSPORT_KINDS",
     "SHM_SEGMENT_PREFIX",
 ]
 
 _log = get_logger("fl.transport")
-
-#: Spec strings accepted wherever a transport is configured (parameterized
-#: transports additionally accept a ``name:params`` suffix, e.g.
-#: ``tcp:host:port``).
-TRANSPORT_KINDS = ("auto", "pipe", "shm", "tcp")
 
 #: Every shm segment this library creates carries this name prefix, so leak
 #: checks (and humans inspecting ``/dev/shm``) can tell ours apart.  Kept
@@ -345,10 +340,10 @@ def _try_close(segment: object) -> bool:
 
 # -- registry -----------------------------------------------------------------
 
-#: name -> (factory, parameterized).  A parameterized factory takes the
-#: params string that followed ``name:`` in the spec (or ``None``); plain
-#: factories take no arguments and their specs reject a params suffix.
-_TRANSPORTS: "dict[str, tuple[Callable[..., Transport], bool]]" = {}
+_TRANSPORTS = Registry("transport", extra=("auto",))
+#: Names whose factory takes the params string after ``name:`` (or
+#: ``None``); every other transport's spec rejects a params suffix.
+_PARAMETERIZED: set[str] = set()
 
 
 def register_transport(
@@ -359,7 +354,11 @@ def register_transport(
     ``parameterized=True`` makes the spec accept a ``name:params`` suffix
     (e.g. ``tcp:host:port``) which is handed to ``factory(params)``.
     """
-    _TRANSPORTS[name] = (factory, parameterized)
+    _TRANSPORTS.register(
+        name, factory, usage=f"{name}[:host:port]" if parameterized else None
+    )
+    if parameterized:
+        _PARAMETERIZED.add(name)
 
 
 def _tcp_factory(params: "str | None" = None) -> Transport:
@@ -372,27 +371,15 @@ register_transport("pipe", PipeTransport)
 register_transport("shm", ShmTransport)
 register_transport("tcp", _tcp_factory, parameterized=True)
 
+#: Spec strings accepted wherever a transport is configured (parameterized
+#: transports additionally accept a ``name:params`` suffix, e.g.
+#: ``tcp:host:port``).
+TRANSPORT_KINDS = _TRANSPORTS.extra + _TRANSPORTS.names()
+
 
 def transport_specs() -> tuple[str, ...]:
     """The registered transport names (``"auto"`` resolves to one of them)."""
-    return tuple(sorted(_TRANSPORTS))
-
-
-def transport_usage() -> tuple[str, ...]:
-    """Human-oriented spec forms for error messages and ``--help``: every
-    registered name, with ``[:params]`` marking the parameterized ones."""
-    forms = ["auto"]
-    for name in sorted(_TRANSPORTS):
-        _, parameterized = _TRANSPORTS[name]
-        forms.append(f"{name}[:host:port]" if parameterized else name)
-    return tuple(forms)
-
-
-def _split_spec(spec: str) -> "tuple[str, str | None]":
-    """``"tcp:host:port"`` -> ``("tcp", "host:port")``; bare names get
-    ``None`` params."""
-    base, sep, params = spec.partition(":")
-    return base, (params if sep else None)
+    return _TRANSPORTS.names()
 
 
 _SHM_SUPPORTED: bool | None = None
@@ -451,16 +438,12 @@ def resolve_transport(spec: str, supported: bool | None = None) -> str:
             return "shm"
         _log_degrade(_SHM_UNSUPPORTED_REASON if supported is False else "")
         return "pipe"
-    base, params = _split_spec(spec)
-    if base not in _TRANSPORTS:
+    name, params = parse_head(spec)
+    _TRANSPORTS[name]  # unknown names raise here, listing every form
+    if params is not None and name not in _PARAMETERIZED:
         raise ValueError(
-            f"unknown transport {spec!r}; expected one of {transport_usage()}"
-        )
-    _, parameterized = _TRANSPORTS[base]
-    if params is not None and not parameterized:
-        raise ValueError(
-            f"transport {base!r} takes no parameters (got {spec!r}); "
-            f"expected one of {transport_usage()}"
+            f"transport {name!r} takes no parameters (got {spec!r}); "
+            f"expected one of {_TRANSPORTS.forms()}"
         )
     return spec
 
@@ -476,6 +459,6 @@ def make_transport(spec: "str | Transport") -> Transport:
         return spec
     if not isinstance(spec, str) or not spec:
         raise TypeError(f"transport spec must be a non-empty string, got {spec!r}")
-    base, params = _split_spec(resolve_transport(spec))
-    factory, parameterized = _TRANSPORTS[base]
-    return factory(params) if parameterized else factory()
+    name, params = parse_head(resolve_transport(spec))
+    args = (params,) if name in _PARAMETERIZED else ()
+    return _TRANSPORTS.make(name, *args)

@@ -49,6 +49,7 @@ from repro.nn.ensemble import (
 )
 from repro.nn.functional import softmax
 from repro.nn.losses import CrossEntropyLoss, EmbeddingL2Loss, TripletStyleLoss
+from repro.spec import Registry, parse_number, parse_pairs
 
 __all__ = [
     "CompositeObjective",
@@ -416,7 +417,7 @@ class ConsistencyTerm(ObjectiveTerm):
 # Registry
 # --------------------------------------------------------------------------
 
-OBJECTIVE_TERMS: dict[str, Callable[..., ObjectiveTerm]] = {}
+OBJECTIVE_TERMS = Registry("objective term")
 
 
 def register_objective_term(
@@ -424,24 +425,15 @@ def register_objective_term(
 ) -> None:
     """Register a term factory under ``name`` (mirrors the codec /
     transport / aggregator registries)."""
-    if name in OBJECTIVE_TERMS:
-        raise ValueError(f"objective term {name!r} is already registered")
-    OBJECTIVE_TERMS[name] = factory
+    OBJECTIVE_TERMS.register(name, factory)
 
 
 def objective_term_specs() -> tuple[str, ...]:
-    return tuple(sorted(OBJECTIVE_TERMS))
+    return OBJECTIVE_TERMS.names()
 
 
 def make_term(name: str, **params: Any) -> ObjectiveTerm:
-    try:
-        factory = OBJECTIVE_TERMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown objective term {name!r}; registered terms: "
-            f"{', '.join(objective_term_specs())}"
-        ) from None
-    return factory(**params)
+    return OBJECTIVE_TERMS.make(name, **params)
 
 
 for _name, _factory in (
@@ -472,24 +464,10 @@ def parse_objective_overrides(spec: str | Mapping[str, float]) -> dict[str, floa
     if isinstance(spec, Mapping):
         overrides = {str(k): float(v) for k, v in spec.items()}
     else:
-        overrides = {}
-        for chunk in str(spec).split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            name, sep, value = chunk.partition("=")
-            name = name.strip()
-            if not sep or not name:
-                raise ValueError(
-                    f"bad objective override {chunk!r}: expected 'term=weight'"
-                )
-            try:
-                overrides[name] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"bad objective override {chunk!r}: weight {value!r} "
-                    f"is not a number"
-                ) from None
+        overrides = {
+            name: parse_number(value, f"objective term {name!r} weight")
+            for name, value in parse_pairs(str(spec), "objective override").items()
+        }
     for name, weight in overrides.items():
         if not np.isfinite(weight) or weight < 0:
             raise ValueError(

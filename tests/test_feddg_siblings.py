@@ -205,7 +205,8 @@ class TestCLIKnobs:
         assert args.objective == "align=0.8"
 
     @pytest.mark.parametrize(
-        "spec", ["align", "=1", "align=abc", "align=-0.5", "align=inf"]
+        "spec",
+        ["align", "=1", "align=abc", "align=-0.5", "align=inf", "align=1,align=0"],
     )
     def test_bad_objective_spec_is_a_usage_error(self, spec):
         from repro.cli import build_parser

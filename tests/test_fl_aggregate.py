@@ -166,8 +166,21 @@ class TestRegistry:
             make_aggregator("clip(-1)+median")
         with pytest.raises(ValueError):
             make_aggregator("clip()+median")
+        with pytest.raises(ValueError):
+            make_aggregator("edge(0)+mean")
+        with pytest.raises(ValueError):
+            make_aggregator("edge(zero)+mean")
         with pytest.raises(TypeError):
             make_aggregator("")
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_clip_tau_rejected(self, tau):
+        """``clip(nan)+mean`` used to turn every parameter into NaN after
+        one fold; a non-finite tau is now refused up front."""
+        with pytest.raises(ValueError, match="clip tau"):
+            ClipAggregator(tau, MeanAggregator())
+        with pytest.raises(ValueError, match="clip tau"):
+            make_aggregator(f"clip({tau})+mean")
 
     def test_custom_rule_registration(self):
         class FirstAggregator(Aggregator):

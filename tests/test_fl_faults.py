@@ -209,6 +209,19 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultEvent("straggler", 0, 0, delay_seconds=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, value):
+        """A nan delay made ``time.sleep`` raise mid-round, an inf one
+        overflowed it, and a nan screen silently disabled the check."""
+        with pytest.raises(ValueError, match="straggler_delay"):
+            FaultPlan(straggler_rate=0.5, straggler_delay=value)
+        with pytest.raises(ValueError, match="norm_screen"):
+            FaultPlan(norm_screen=value)
+        with pytest.raises(ValueError, match="delay_seconds"):
+            FaultEvent("straggler", 0, 0, delay_seconds=value)
+        with pytest.raises(ValueError, match="delay_seconds"):
+            FaultEvent("hang", 0, 0, delay_seconds=value)
+
 
 class TestMakeFaultPlan:
     def test_parses_full_spec(self):
@@ -241,6 +254,18 @@ class TestMakeFaultPlan:
             make_fault_plan(7)
         with pytest.raises(TypeError):
             make_fault_plan("   ")
+
+    @pytest.mark.parametrize(
+        "spec", ["straggler=0.5:nan", "straggler=0.5:inf", "screen=nan",
+                 "screen=inf"],
+    )
+    def test_rejects_non_finite_values(self, spec):
+        with pytest.raises(ValueError):
+            make_fault_plan(spec)
+
+    def test_rejects_duplicate_keys(self):
+        with pytest.raises(ValueError, match="duplicate fault spec key 'seed'"):
+            make_fault_plan("seed=1,seed=2")
 
 
 class TestCorruption:
@@ -664,6 +689,16 @@ class TestConfigAndCLI:
             build_parser().parse_args(
                 ["lodo", "--suite", "pacs", "--method", "fedavg",
                  "--deadline", "-3"]
+            )
+
+    @pytest.mark.parametrize("spec", ["straggler=0.5:nan", "seed=1,seed=2"])
+    def test_non_finite_or_duplicate_faults_are_usage_errors(self, spec):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["lodo", "--suite", "pacs", "--method", "fedavg",
+                 "--faults", spec]
             )
 
     def test_setting_threads_faults_into_executor_and_config(self):

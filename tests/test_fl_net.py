@@ -493,8 +493,8 @@ class TestRemoteExecutor:
         flat weighted mean (the topology invariant, now across sockets)."""
         flat = run_once(SerialExecutor())
         remote = RemoteExecutor(num_agents=2)
-        result = run_remote(remote, config_kwargs={"topology": "edge:2"})
-        _assert_same(flat, result, "remote edge:2")
+        result = run_remote(remote, config_kwargs={"aggregator": "edge(2)+mean"})
+        _assert_same(flat, result, "remote edge(2)+mean")
 
     def test_unpipelined_reports_zero_overlap(self):
         remote = RemoteExecutor(num_agents=2, pipelined=False)

@@ -3,7 +3,7 @@ resident-client LRU bounds, and the two-tier edge topology.
 
 The acceptance bar: streaming folds in *any* arrival order are
 bit-identical to the batch weighted mean (the compensated accumulator's
-order invariance), an ``edge:G`` topology traces bit-identically to flat
+order invariance), an ``edge(G)+mean`` aggregator traces bit-identically to flat
 FedAvg on every engine, a bounded resident set changes no trace (evicted
 clients fall back to full re-registration), and server peak memory under
 a lazy population scales with participants — not with the population.
@@ -32,7 +32,6 @@ from repro.fl import (
     make_aggregator,
     make_compute,
     make_executor,
-    parse_topology,
     shm_supported,
 )
 from repro.fl.aggregate import EdgeAggregator
@@ -65,7 +64,7 @@ def _model(rng_seed=0, hidden_dim=64):
     )
 
 
-def _run(clients, executor, rounds=3, *, topology="flat", codec="identity",
+def _run(clients, executor, rounds=3, *, aggregator="mean", codec="identity",
          clients_per_round=4, transport="auto"):
     server = FederatedServer(
         strategy=FedAvgStrategy(FAST),
@@ -74,7 +73,7 @@ def _run(clients, executor, rounds=3, *, topology="flat", codec="identity",
         eval_sets={"test": SUITE.datasets[2]},
         config=FederatedConfig(
             num_rounds=rounds, clients_per_round=clients_per_round, seed=0,
-            codec=codec, transport=transport, topology=topology,
+            codec=codec, transport=transport, aggregator=aggregator,
         ),
         executor=executor,
     )
@@ -361,19 +360,9 @@ class TestAverageStatesOut:
 
 
 class TestEdgeTopology:
-    """``edge:G`` must be invisible in the trace: G edge aggregators
-    reduce with the streaming mean and the root composes the partial
-    (sum, weight) pairs bit-identically to flat FedAvg."""
-
-    def test_parse_topology(self):
-        assert parse_topology("flat") is None
-        assert parse_topology("edge:4") == 4
-        with pytest.raises(ValueError):
-            parse_topology("edge:0")
-        with pytest.raises(ValueError):
-            parse_topology("ring")
-        with pytest.raises(TypeError):
-            parse_topology(4)
+    """``edge(G)+mean`` must be invisible in the trace: G edge
+    aggregators reduce with the streaming mean and the root composes the
+    partial (sum, weight) pairs bit-identically to flat FedAvg."""
 
     def test_spec_round_trip(self):
         aggregator = make_aggregator("edge(3)+mean")
@@ -396,9 +385,7 @@ class TestEdgeTopology:
 
     def test_config_rejects_non_streaming_topology_rule(self):
         with pytest.raises(ValueError, match="hierarchically"):
-            FederatedConfig(
-                num_rounds=1, topology="edge:2", aggregator="median"
-            )
+            FederatedConfig(num_rounds=1, aggregator="edge(2)+median")
 
     @pytest.mark.parametrize(
         "make_engine, codec",
@@ -419,7 +406,8 @@ class TestEdgeTopology:
     def test_edge_trace_identical_to_flat(self, make_engine, codec):
         flat = _run(make_clients(), make_engine(), codec=codec)
         edged = _run(
-            make_clients(), make_engine(), codec=codec, topology="edge:3"
+            make_clients(), make_engine(), codec=codec,
+            aggregator="edge(3)+mean",
         )
         _assert_same_run(flat, edged)
 
@@ -597,10 +585,6 @@ class TestConfigValidation:
                 config=config,
                 executor=SerialExecutor(quorum=5),
             )
-
-    def test_topology_spec_validated_at_config_time(self):
-        with pytest.raises(ValueError):
-            FederatedConfig(num_rounds=1, topology="edge:zero")
 
 
 class TestMemoryScaling:

@@ -115,7 +115,7 @@ class TestParseOverrides:
         assert parse_objective_overrides("ce=1,,") == {"ce": 1.0}
 
     @pytest.mark.parametrize(
-        "bad", ["ce", "=1", "ce=abc", "ce=-0.5", "ce=inf", "ce=nan"]
+        "bad", ["ce", "=1", "ce=abc", "ce=-0.5", "ce=inf", "ce=nan", "ce=1,ce=0"]
     )
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
