@@ -14,13 +14,59 @@ lives in :mod:`repro.data.styles`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["ContentBank", "smooth_noise"]
 
+#: Fourier components below this frequency make up a content field.
+_CUTOFF = 3
+
+
+@lru_cache(maxsize=8)
+def _phase_grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(y, x)`` angle grids over ``[0, 2*pi)``, built once per shape."""
+    ys = np.linspace(0.0, 2.0 * np.pi, height, endpoint=False)
+    xs = np.linspace(0.0, 2.0 * np.pi, width, endpoint=False)
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    grid_y.flags.writeable = False
+    grid_x.flags.writeable = False
+    return grid_y, grid_x
+
+
+def _frequencies(cutoff: int) -> list[tuple[int, int]]:
+    return [(fy, fx) for fy in range(cutoff) for fx in range(cutoff) if fy or fx]
+
+
+def _draw_components(rng: np.random.Generator, cutoff: int) -> list[float]:
+    """One field's ``amplitude, phase`` pairs, flat, in the generator's draw order."""
+    draws = []
+    for fy, fx in _frequencies(cutoff):
+        draws.append(rng.normal() / (1.0 + fy + fx))
+        draws.append(rng.uniform(0.0, 2.0 * np.pi))
+    return draws
+
+
+def _fields(height: int, width: int, draws: np.ndarray, cutoff: int) -> np.ndarray:
+    """``(n, height, width)`` fields from ``(n, 2 * terms)`` component draws.
+
+    Each element goes through the same operations, in the same order, as a
+    field built alone, so a batch is bitwise the per-field results.
+    """
+    grid_y, grid_x = _phase_grid(height, width)
+    fields = np.zeros((draws.shape[0], height, width))
+    for term, (fy, fx) in enumerate(_frequencies(cutoff)):
+        amplitude = draws[:, 2 * term, None, None]
+        phase = draws[:, 2 * term + 1, None, None]
+        fields += amplitude * np.cos(fy * grid_y + fx * grid_x + phase)
+    peaks = np.max(np.abs(fields), axis=(1, 2))[:, None, None]
+    np.divide(fields, peaks, out=fields, where=peaks > 0)
+    return fields
+
 
 def smooth_noise(
-    height: int, width: int, rng: np.random.Generator, cutoff: int = 3
+    height: int, width: int, rng: np.random.Generator, cutoff: int = _CUTOFF
 ) -> np.ndarray:
     """Low-frequency random field in roughly [-1, 1].
 
@@ -28,21 +74,8 @@ def smooth_noise(
     result is smooth at any resolution — a cheap stand-in for natural-image
     content statistics.
     """
-    ys = np.linspace(0.0, 2.0 * np.pi, height, endpoint=False)
-    xs = np.linspace(0.0, 2.0 * np.pi, width, endpoint=False)
-    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    field = np.zeros((height, width))
-    for fy in range(cutoff):
-        for fx in range(cutoff):
-            if fy == 0 and fx == 0:
-                continue
-            amplitude = rng.normal() / (1.0 + fy + fx)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            field += amplitude * np.cos(fy * grid_y + fx * grid_x + phase)
-    peak = np.max(np.abs(field))
-    if peak > 0:
-        field /= peak
-    return field
+    draws = np.array([_draw_components(rng, cutoff)])
+    return _fields(height, width, draws, cutoff)[0]
 
 
 class ContentBank:
@@ -124,12 +157,18 @@ class ContentBank:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         prototype = self.prototypes[class_id]
-        max_shift = max(self.image_size // 8, 1)
-        samples = np.empty((count, self.image_size, self.image_size))
+        size = self.image_size
+        max_shift = max(size // 8, 1)
+        # Scalar draws stay interleaved per sample (shift, then its noise
+        # components), so the stream matches drawing one sample at a time.
+        shifts = np.empty((count, 2), dtype=np.int64)
+        draws = np.empty((count, 2 * len(_frequencies(_CUTOFF))))
         for index in range(count):
-            shift_y = int(rng.integers(-max_shift, max_shift + 1))
-            shift_x = int(rng.integers(-max_shift, max_shift + 1))
-            shifted = np.roll(prototype, (shift_y, shift_x), axis=(0, 1))
-            noise = smooth_noise(self.image_size, self.image_size, rng)
-            samples[index] = shifted + self.jitter * noise
-        return samples
+            shifts[index, 0] = rng.integers(-max_shift, max_shift + 1)
+            shifts[index, 1] = rng.integers(-max_shift, max_shift + 1)
+            draws[index] = _draw_components(rng, _CUTOFF)
+        # np.roll(prototype, (dy, dx))[i, j] == prototype[i - dy, j - dx].
+        rows = (np.arange(size) - shifts[:, :1]) % size
+        cols = (np.arange(size) - shifts[:, 1:]) % size
+        shifted = prototype[rows[:, :, None], cols[:, None, :]]
+        return shifted + self.jitter * _fields(size, size, draws, _CUTOFF)

@@ -139,6 +139,7 @@ from repro.fl.rounds import RoundController, TaskRow
 from repro.fl.transport import Transport, make_transport, resolve_transport
 from repro.nn.serialize import StateDict, decode_payload, encode_payload
 from repro.spec import Registry
+from repro.utils.blas import limit_blas_threads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.fl.aggregate import AggregationStream
@@ -710,6 +711,10 @@ class WorkerRuntime:
     initargs — and, verbatim, the meta a remote agent receives in its
     handshake welcome — so every endpoint builds the same pipeline from
     the same strings before any state crosses the wire.
+
+    Construction also caps the process's BLAS at one thread: endpoints
+    run side by side, one per core, and a per-process BLAS pool on top
+    oversubscribes the cores (see :mod:`repro.utils.blas`).
     """
 
     def __init__(
@@ -719,6 +724,7 @@ class WorkerRuntime:
         transport_spec: str,
         compute_spec: str,
     ) -> None:
+        limit_blas_threads(1)
         self.model: "FeatureClassifierModel" = decode_payload(model_blob)
         self.codec: Codec = make_codec(codec_spec)  # the negotiated wire codec
         self.transport: Transport = make_transport(transport_spec)  # ...and transport

@@ -43,8 +43,8 @@ from repro.nn.conv import (
     Conv2d,
     GlobalAvgPool2d,
     MaxPool2d,
-    col2im,
-    im2col,
+    conv2d_backward,
+    conv2d_forward,
 )
 from repro.nn.layers import Flatten, LeakyReLU, Linear, ReLU, Sigmoid, Tanh
 from repro.nn.models import FeatureClassifierModel
@@ -56,7 +56,6 @@ __all__ = [
     "EnsembleConv2d",
     "EnsembleLinear",
     "EnsembleFlatten",
-    "EnsembleSpatialPool",
     "EnsembleBatchNorm2d",
     "EnsembleInstanceNorm2d",
     "EnsembleLayerNorm",
@@ -93,8 +92,12 @@ def _stack_param(template: Parameter, ensemble_size: int, name: str) -> Paramete
 class EnsembleConv2d(EnsembleModule):
     """K independent Conv2d layers as one batched im2col matmul.
 
-    One ``im2col`` over the flattened ``(K*B, C, H, W)`` input feeds a single
-    ``(K, B*oh*ow, C*k*k) @ (K, C*k*k, out)`` batched product.
+    Runs the template's :func:`~repro.nn.conv.conv2d_forward` and
+    ``conv2d_backward`` over ``(K, B, C, H, W)`` input and
+    ``(K, out, C, k, k)`` weights: one ``im2col`` yields
+    ``(K, C*k*k, oh*ow*B)`` columns, slice ``k`` exactly the template's
+    columns, which feed a single ``(K, out, C*k*k) @ (K, C*k*k, oh*ow*B)``
+    batched product.
     """
 
     def __init__(self, template: Conv2d, ensemble_size: int) -> None:
@@ -112,7 +115,6 @@ class EnsembleConv2d(EnsembleModule):
         )
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
-        self._out_hw: tuple[int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if (
@@ -124,44 +126,28 @@ class EnsembleConv2d(EnsembleModule):
                 f"EnsembleConv2d expected ({self.ensemble_size}, batch, "
                 f"{self.in_channels}, H, W), got {x.shape}"
             )
-        stack, batch = x.shape[:2]
-        flat = x.reshape(stack * batch, *x.shape[2:])
-        cols, (out_h, out_w) = im2col(flat, self.kernel_size, self.stride, self.padding)
-        cols = cols.reshape(stack, batch * out_h * out_w, -1)
-        self._cols = cols
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        weight_matrix = self.weight.data.reshape(stack, self.out_channels, -1)
-        out = np.matmul(cols, weight_matrix.transpose(0, 2, 1))
-        if self.bias is not None:
-            out = out + self.bias.data[:, None, :]
-        return out.reshape(stack, batch, out_h, out_w, self.out_channels).transpose(
-            0, 1, 4, 2, 3
+        bias = self.bias.data if self.bias is not None else None
+        out, self._cols = conv2d_forward(
+            x, self.weight.data, bias, self.stride, self.padding
         )
+        self._x_shape = x.shape
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None or self._out_hw is None:
+        if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        stack, batch = self._x_shape[:2]
-        out_h, out_w = self._out_hw
-        grad_rows = grad_output.transpose(0, 1, 3, 4, 2).reshape(
-            stack, batch * out_h * out_w, self.out_channels
-        )
-        weight_matrix = self.weight.data.reshape(stack, self.out_channels, -1)
-        self.weight.grad += np.matmul(
-            grad_rows.transpose(0, 2, 1), self._cols
-        ).reshape(self.weight.data.shape)
-        if self.bias is not None:
-            self.bias.grad += grad_rows.sum(axis=1)
-        grad_cols = np.matmul(grad_rows, weight_matrix)
-        flat = col2im(
-            grad_cols.reshape(stack * batch * out_h * out_w, -1),
-            (stack * batch,) + self._x_shape[2:],
-            self.kernel_size,
+        grad_weight, grad_bias, grad_input = conv2d_backward(
+            grad_output,
+            self._cols,
+            self.weight.data,
+            self._x_shape,
             self.stride,
             self.padding,
         )
-        return flat.reshape(self._x_shape)
+        self.weight.grad += grad_weight
+        if self.bias is not None:
+            self.bias.grad += grad_bias
+        return grad_input
 
 
 class EnsembleLinear(EnsembleModule):
@@ -219,34 +205,6 @@ class EnsembleFlatten(EnsembleModule):
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return grad_output.reshape(self._shape)
-
-
-class EnsembleSpatialPool(EnsembleModule):
-    """Run a parameter-free spatial pool over a flattened ``(K*B, ...)`` view.
-
-    Pooling acts per sample, so folding the stack axis into the batch axis is
-    exact; the wrapped template instance does all the work.
-    """
-
-    def __init__(self, pool: Module, ensemble_size: int) -> None:
-        super().__init__(ensemble_size)
-        self.pool = pool
-        self._lead: tuple[int, int] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        stack, batch = x.shape[:2]
-        self._lead = (stack, batch)
-        out = self.pool.forward(x.reshape(stack * batch, *x.shape[2:]))
-        return out.reshape(stack, batch, *out.shape[1:])
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._lead is None:
-            raise RuntimeError("backward called before forward")
-        stack, batch = self._lead
-        grad = self.pool.backward(
-            grad_output.reshape(stack * batch, *grad_output.shape[2:])
-        )
-        return grad.reshape(stack, batch, *grad.shape[1:])
 
 
 class EnsembleBatchNorm2d(EnsembleModule):
@@ -689,16 +647,16 @@ register_ensemble_converter(Sigmoid, _convert_fresh(lambda t: Sigmoid()))
 register_ensemble_converter(
     LeakyReLU, _convert_fresh(lambda t: LeakyReLU(t.negative_slope))
 )
+# The pools act on the last four axes, so they too run on (K, batch, ...)
+# stacks unchanged.
 register_ensemble_converter(
-    MaxPool2d,
-    lambda t, k: EnsembleSpatialPool(MaxPool2d(t.kernel_size, t.stride), k),
+    MaxPool2d, _convert_fresh(lambda t: MaxPool2d(t.kernel_size, t.stride))
 )
 register_ensemble_converter(
-    AvgPool2d,
-    lambda t, k: EnsembleSpatialPool(AvgPool2d(t.kernel_size, t.stride), k),
+    AvgPool2d, _convert_fresh(lambda t: AvgPool2d(t.kernel_size, t.stride))
 )
 register_ensemble_converter(
-    GlobalAvgPool2d, lambda t, k: EnsembleSpatialPool(GlobalAvgPool2d(), k)
+    GlobalAvgPool2d, _convert_fresh(lambda t: GlobalAvgPool2d())
 )
 register_ensemble_converter(
     Sequential,

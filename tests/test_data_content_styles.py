@@ -3,8 +3,42 @@
 import numpy as np
 import pytest
 
+from repro.data import content, synthetic_office_home, synthetic_pacs
 from repro.data.content import ContentBank, smooth_noise
 from repro.data.styles import DomainStyle, render_images
+
+
+def reference_smooth_noise(height, width, rng, cutoff=3):
+    """The one-field-at-a-time generator that the batched one replaced."""
+    ys = np.linspace(0.0, 2.0 * np.pi, height, endpoint=False)
+    xs = np.linspace(0.0, 2.0 * np.pi, width, endpoint=False)
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    field = np.zeros((height, width))
+    for fy in range(cutoff):
+        for fx in range(cutoff):
+            if fy == 0 and fx == 0:
+                continue
+            amplitude = rng.normal() / (1.0 + fy + fx)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            field += amplitude * np.cos(fy * grid_y + fx * grid_x + phase)
+    peak = np.max(np.abs(field))
+    if peak > 0:
+        field /= peak
+    return field
+
+
+def reference_sample(self, class_id, count, rng):
+    """``ContentBank.sample`` as it drew one sample at a time."""
+    prototype = self.prototypes[class_id]
+    max_shift = max(self.image_size // 8, 1)
+    samples = np.empty((count, self.image_size, self.image_size))
+    for index in range(count):
+        shift_y = int(rng.integers(-max_shift, max_shift + 1))
+        shift_x = int(rng.integers(-max_shift, max_shift + 1))
+        shifted = np.roll(prototype, (shift_y, shift_x), axis=(0, 1))
+        noise = reference_smooth_noise(self.image_size, self.image_size, rng)
+        samples[index] = shifted + self.jitter * noise
+    return samples
 
 
 class TestSmoothNoise:
@@ -19,6 +53,33 @@ class TestSmoothNoise:
         a = smooth_noise(8, 8, np.random.default_rng(3))
         b = smooth_noise(8, 8, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
+
+
+class TestBatchedSynthesis:
+    """Batching the content fields must not change a single generated bit."""
+
+    def test_smooth_noise_matches_reference(self):
+        for seed in range(20):
+            for shape in ((16, 16), (8, 12), (5, 3)):
+                a = smooth_noise(*shape, np.random.default_rng(seed))
+                b = reference_smooth_noise(*shape, np.random.default_rng(seed))
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "build,seed",
+        [(synthetic_pacs, 0), (synthetic_pacs, 7), (synthetic_office_home, 3)],
+    )
+    def test_suites_match_the_per_sample_generator(self, build, seed, monkeypatch):
+        batched = build(seed=seed)
+        monkeypatch.setattr(content, "smooth_noise", reference_smooth_noise)
+        monkeypatch.setattr(ContentBank, "sample", reference_sample)
+        reference = build(seed=seed)
+        for mine, theirs in zip(batched.datasets, reference.datasets):
+            assert np.array_equal(mine.images, theirs.images)
+            assert np.array_equal(mine.labels, theirs.labels)
+
+    def test_empty_sample(self, rng):
+        assert ContentBank(3, 8, rng).sample(0, 0, rng).shape == (0, 8, 8)
 
 
 class TestContentBank:

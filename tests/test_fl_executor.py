@@ -8,6 +8,9 @@ round loop's semantics may not depend on how the fan-out executes.
 import itertools
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -649,6 +652,47 @@ class TestTimingAccounting:
         assert timing.local_train_invocations == 8
         assert timing.local_train_seconds_total > 0.0
         assert timing.local_train_wall_seconds_total > 0.0
+
+
+class TestWorkerBlasThreads:
+    def test_worker_runtime_caps_blas_at_one_thread(self):
+        """Pool workers and remote agents both build a WorkerRuntime; it
+        must leave the process's OpenBLAS with one thread, so endpoints
+        sharing a host do not oversubscribe its cores.  Runs in a fresh
+        interpreter: the cap is process-wide."""
+        from repro.utils.blas import blas_threads
+
+        if blas_threads() is None:
+            pytest.skip("no OpenBLAS loaded")
+        repo = Path(__file__).resolve().parent.parent
+        script = (
+            "import numpy as np\n"
+            "from repro.fl.executor import WorkerRuntime\n"
+            "from repro.nn import build_mlp_model\n"
+            "from repro.nn.serialize import encode_payload\n"
+            "from repro.utils.blas import blas_threads, limit_blas_threads\n"
+            "limit_blas_threads(2)  # a pool to cap, where the host has 2 cores\n"
+            "model = build_mlp_model((3, 8, 8), 4, rng=np.random.default_rng(0))\n"
+            "WorkerRuntime(encode_payload(model), 'identity', 'pipe', 'loop')\n"
+            "print('THREADS', blas_threads())\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(repo / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, cwd=repo, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "THREADS 1" in proc.stdout, proc.stdout
+
+    def test_without_openblas_the_cap_is_a_no_op(self, monkeypatch):
+        from repro.utils import blas
+
+        monkeypatch.setattr(blas, "_openblas_function", lambda *args: None)
+        assert blas.limit_blas_threads(1) is False
+        assert blas.blas_threads() is None
 
 
 class TestFinalEvaluationReuse:
